@@ -74,7 +74,6 @@ def soundness_matrix(publish):
     cases = [
         _soundness_case("plain", backend="cpu", fuse="off"),
         _soundness_case("fused", backend="cpu", fuse="pipeline"),
-        _soundness_case("queue", backend="cpu", fuse="queue"),
         _soundness_case("sharded", backend="cpu", fuse="pipeline", devices=2),
         # 40x40 frames on the constrained ES2 profile (512 max texture,
         # square/power-of-two only) force the tiled execution engine.

@@ -24,7 +24,7 @@ compiler is used in a build system:
   work bounds the deadline-aware serving layer relies on.
 * ``brookauto autoplan`` - run the cost-model auto-planner on the ADAS
   image pipeline and print the per-candidate pricing table (fusion /
-  devices / batching) with the chosen configuration and its modelled
+  devices / shard axis) with the chosen configuration and its modelled
   speedup over the unplanned baseline.
 * ``brookauto lint`` - run the brooklint interval/range analysis over
   ``.br`` sources, Python files with embedded kernel strings, or the
@@ -608,7 +608,6 @@ def _cmd_autoplan(args: argparse.Namespace) -> int:
                     request, module.program, rt, plans,
                     platform=args.platform,
                     executable_devices=rt.device_count,
-                    max_batch=args.max_batch,
                     limits=rt.backend.target_limits(),
                 )
                 deadline_s = (args.deadline_ms * 1e-3
@@ -793,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="devices per worker runtime: each request "
                                    "is sharded across a device group")
     serve_parser.add_argument("--fuse", default="pipeline",
-                              choices=("pipeline", "queue", "off"))
+                              choices=("pipeline", "off"))
     serve_parser.add_argument("--overload", type=float, default=None,
                               help="deadline mode: offered load as a multiple "
                                    "of pool capacity (EDF + WCET admission "
@@ -829,8 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "executable device count)")
     autoplan_parser.add_argument("--platform", default="target",
                                  help="timing platform pricing the candidates")
-    autoplan_parser.add_argument("--max-batch", type=int, default=8,
-                                 help="largest queue batch to enumerate")
     autoplan_parser.add_argument("--deadline-ms", type=float, default=None,
                                  help="also resolve the deadline-constrained "
                                       "choice for this budget (exit 1 when "

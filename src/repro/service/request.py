@@ -184,7 +184,8 @@ class ServiceResponse:
     worker: int
     #: Seconds from submission to completion (queueing included).
     latency_s: float
-    #: Seconds spent executing on the worker runtime.
+    #: Seconds this request's input writes and launches took on the
+    #: worker runtime (output reads excluded).
     execute_s: float
     #: Whether the worker reused a prepared plan cache entry.
     cached: bool = field(default=False)

@@ -11,25 +11,25 @@ is enabled - are built once and reused for every later request with the
 same signature, so steady-state serving only pays for writing the input
 data, launching the prepared pass(es) and reading the outputs.
 
-Execution modes (the ``fuse`` argument):
+A worker serves one request at a time through one loop: take the next
+request, resolve its cache entry, write the inputs, launch the entry's
+launchables in order, read the outputs, complete the future.  What the
+launchables are is fixed when the entry is built:
 
-* ``"pipeline"`` (default, also ``True``) - prepared requests are fused
-  once with ``rt.fuse``; repeat requests launch the cached pipeline.
-* ``"queue"`` - each drained batch of requests flushes through one
-  ``rt.queue(fuse=True)``: fusion re-runs per flush, statistics are
-  recorded in bulk.  Mirrors what a client batching launches by hand
-  would get.
-* ``"off"`` (also ``False``/``None``) - prepared plans launch serially,
-  one pass per kernel call.
+* ``fuse="pipeline"`` (default, also ``True``) - one
+  :class:`~repro.runtime.launch.FusedPipeline` built once with
+  ``rt.fuse``;
+* ``fuse="off"`` (also ``False``/``None``) - the bare plans, one pass
+  per kernel call;
+* ``plan="auto"`` - whatever the cost-model auto-planner
+  (:mod:`repro.core.analysis.planner`) chose for the signature on the
+  service's timing platform: fused groups and bare plans, built by
+  :func:`~repro.core.analysis.planner.build_launchables`.  ``fuse`` is
+  ignored in this mode.
 
 Every mode produces bit-identical outputs to executing the request's
 calls serially on a single runtime; the modes only differ in how many
-passes (and how much per-request overhead) they pay.
-
-With ``plan="auto"`` the fuse mode stops being a knob: the cost-model
-auto-planner (:mod:`repro.core.analysis.planner`) prices the candidate
-configurations of each request signature on the service's timing
-platform and executes the argmin.  Decisions are cached per
+passes they pay.  Auto-planner decisions are cached per
 ``(signature, platform, devices)`` - a service built for a different
 platform or device count never reuses a stale decision - and a request
 carrying a deadline only ever gets a configuration whose WCET bound
@@ -47,7 +47,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict, deque
-from queue import Empty, Queue
+from queue import Queue
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -123,16 +123,14 @@ class _PendingItem:
 
 
 class _PreparedRequest:
-    """Cache entry: streams + prepared plans for one request signature."""
+    """Cache entry: streams + launch order for one request signature."""
 
-    __slots__ = ("streams", "plans", "pipeline", "launchables")
+    __slots__ = ("streams", "launchables")
 
-    def __init__(self, streams, plans, pipeline, launchables=None):
+    def __init__(self, streams, launchables):
         self.streams = streams
-        self.plans = plans
-        self.pipeline = pipeline
-        #: Auto-planned execution order (fused groups + bare plans);
-        #: ``None`` outside ``plan="auto"``.
+        #: What one request launches, in order: the fused pipeline, the
+        #: bare plans, or the auto-planned mix of both.
         self.launchables = launchables
 
     def release(self) -> None:
@@ -166,6 +164,9 @@ class _ServiceWorker:
         #: (maintained by the service under its dispatch lock).
         self.outstanding = 0
         self.requests_served = 0
+        #: Guards the cache and its counters: the worker thread writes
+        #: them while service_report() reads them from any thread.
+        self._cache_lock = threading.Lock()
         self._cache: "OrderedDict[Tuple, _PreparedRequest]" = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
@@ -183,23 +184,16 @@ class _ServiceWorker:
             item = self.queue.get()
             if item is _STOP:
                 break
-            batch: List[_PendingItem] = [item]
-            while len(batch) < self.service.max_batch:
-                try:
-                    extra = self.queue.get_nowait()
-                except Empty:
-                    break
-                if extra is _STOP:
-                    # Re-queue the sentinel so the drain still terminates
-                    # after this batch is processed.
-                    self.queue.put(_STOP)
-                    break
-                batch.append(extra)
-            self._process_batch(batch)
+            self._serve(item)
         self.runtime.close()
 
     # ------------------------------------------------------------------ #
-    def _record_sig(self, label: str, hit: bool) -> None:
+    def _record_lookup(self, label: str, hit: bool) -> None:
+        """Count one cache lookup (caller holds ``_cache_lock``)."""
+        if hit:
+            self._cache_hits += 1
+        else:
+            self._cache_misses += 1
         counters = self._sig_stats.get(label)
         if counters is None:
             counters = self._sig_stats[label] = [0, 0]
@@ -208,12 +202,11 @@ class _ServiceWorker:
                 self._sig_stats.popitem(last=False)
         counters[0 if hit else 1] += 1
 
-    def _entry_for(self, request: ServiceRequest,
-                   evicted: List[_PreparedRequest]
+    def _entry_for(self, request: ServiceRequest
                    ) -> "Tuple[_PreparedRequest, bool]":
         key: Tuple = request.signature()
         chosen = None
-        if self.service.plan_mode == "auto":
+        if self.service.mode == "auto":
             # The planner decides first (PlanningError propagates to the
             # request's future); the chosen config joins the cache key,
             # so the same signature under a different deadline budget
@@ -225,133 +218,68 @@ class _ServiceWorker:
             chosen = decision.choose(budget)
             key = (key, chosen.config.key())
         label = _signature_label(request)
-        entry = self._cache.get(key)
+        with self._cache_lock:
+            entry = self._cache.get(key)
+            if entry is not None:
+                self._cache.move_to_end(key)
+            self._record_lookup(label, hit=entry is not None)
         if entry is not None:
-            self._cache_hits += 1
-            self._record_sig(label, hit=True)
-            self._cache.move_to_end(key)
             return entry, True
-        self._cache_misses += 1
-        self._record_sig(label, hit=False)
         rt = self.runtime
         _module, streams, plans = prepare_request(rt, request)
         if chosen is not None:
             from ..core.analysis.planner import build_launchables
-            pipeline = None
             launchables = build_launchables(rt, plans, chosen.config)
+        elif self.service.mode == "pipeline":
+            launchables = [rt.fuse(plans)]
         else:
-            pipeline = (rt.fuse(plans)
-                        if self.service.mode == "pipeline" else None)
-            launchables = None
-        entry = _PreparedRequest(streams, plans, pipeline, launchables)
-        self._cache[key] = entry
-        while len(self._cache) > self.service.plan_cache_size:
-            # Defer the stream release to the caller: an evicted entry
-            # may still be referenced by an earlier request of the batch
-            # currently being processed.
-            evicted.append(self._cache.popitem(last=False)[1])
+            launchables = plans
+        entry = _PreparedRequest(streams, launchables)
+        with self._cache_lock:
+            self._cache[key] = entry
+            evicted = []
+            while len(self._cache) > self.service.plan_cache_size:
+                evicted.append(self._cache.popitem(last=False)[1])
+        # One request is in flight at a time, so nothing else can still
+        # be using an evicted entry's streams.
+        for old in evicted:
+            old.release()
         return entry, False
 
-    def _process_batch(self, batch: List[_PendingItem]) -> None:
-        resolved: List[Tuple[_PendingItem, _PreparedRequest, bool]] = []
-        evicted: List[_PreparedRequest] = []
-        for item in batch:
-            try:
-                entry, cached = self._entry_for(item.request, evicted)
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                self.service._complete(self, item, None, exc)
-            else:
-                resolved.append((item, entry, cached))
-        if self.service._track_deadlines:
-            # One request per round: the statistics interval between the
-            # round's start and end then belongs to exactly one request,
-            # which is what prices its modelled execution time (and the
-            # WCET margin) without cross-request attribution guesswork.
-            for record in resolved:
-                self._run_round([record])
-        else:
-            # Requests sharing a cache entry share streams, so they
-            # cannot be in flight inside the same flush - split the
-            # batch into rounds of pairwise-distinct entries, preserving
-            # submission order.
-            round_items: List[Tuple[_PendingItem, _PreparedRequest, bool]] = []
-            seen = set()
-            for record in resolved:
-                if id(record[1]) in seen:
-                    self._run_round(round_items)
-                    round_items, seen = [], set()
-                round_items.append(record)
-                seen.add(id(record[1]))
-            if round_items:
-                self._run_round(round_items)
-        for entry in evicted:
-            entry.release()
-
-    def _run_round(self, round_items) -> None:
-        if not round_items:
-            return
-        started = time.perf_counter()
-        completed = 0
-        tracking = self.service._track_deadlines
-        marker = self.runtime.statistics.marker() if tracking else None
+    def _serve(self, item: _PendingItem) -> None:
+        """Run one request end to end and complete its future."""
+        request = item.request
         try:
-            for item, entry, _ in round_items:
-                for name, array in item.request.inputs.items():
-                    entry.streams[name].write(array)
-            values: List[Optional[float]] = []
-            planned = any(entry.launchables is not None
-                          for _, entry, _ in round_items)
-            if self.service.mode == "queue" and not planned \
-                    and len(round_items) >= 1:
-                # One fusing flush for the whole round: adjacent
-                # producer->consumer launches inside each request merge,
-                # statistics are recorded in one bulk operation.
-                with self.runtime.queue(fuse=True) as q:
-                    for _, entry, _ in round_items:
-                        for plan in entry.plans:
-                            q.submit(plan)
-                    results = q.flush()
-                offset = 0
-                for _, entry, _ in round_items:
-                    offset += len(entry.plans)
-                    values.append(results[offset - 1])
-            else:
-                for _, entry, _ in round_items:
-                    if entry.launchables is not None:
-                        # Auto-planned order: fused groups and bare
-                        # plans exactly as the chosen config dictates.
-                        value = None
-                        for launchable in entry.launchables:
-                            value = launchable.launch()
-                        values.append(value)
-                    elif entry.pipeline is not None:
-                        values.append(entry.pipeline.launch())
-                    else:
-                        value = None
-                        for plan in entry.plans:
-                            value = plan.launch()
-                        values.append(value)
-            elapsed = time.perf_counter() - started
-            per_request = elapsed / len(round_items)
-            for (item, entry, cached), value in zip(round_items, values):
-                outputs = {name: entry.streams[name].read()
-                           for name in item.request.outputs}
-                response = ServiceResponse(
-                    name=item.request.name,
-                    outputs=outputs,
-                    value=value,
-                    worker=self.index,
-                    latency_s=time.perf_counter() - item.submitted_at,
-                    execute_s=per_request,
-                    cached=cached,
-                )
-                if tracking:
-                    self._account_deadline(item, response, marker)
-                self.service._complete(self, item, response, None)
-                completed += 1
+            entry, cached = self._entry_for(request)
+            # The marker and the clock start after the cache lookup: a
+            # miss's preparation is a one-time signature cost, not this
+            # request's execution.
+            marker = (self.runtime.statistics.marker()
+                      if self.service._track_deadlines else None)
+            started = time.perf_counter()
+            for name, array in request.inputs.items():
+                entry.streams[name].write(array)
+            value = None
+            for launchable in entry.launchables:
+                value = launchable.launch()
+            execute_s = time.perf_counter() - started
+            outputs = {name: entry.streams[name].read()
+                       for name in request.outputs}
+            response = ServiceResponse(
+                name=request.name,
+                outputs=outputs,
+                value=value,
+                worker=self.index,
+                latency_s=time.perf_counter() - item.submitted_at,
+                execute_s=execute_s,
+                cached=cached,
+            )
+            if marker is not None:
+                self._account_deadline(item, response, marker)
         except BaseException as exc:  # noqa: BLE001 - forwarded
-            for item, _, _ in round_items[completed:]:
-                self.service._complete(self, item, None, exc)
+            self.service._complete(self, item, None, exc)
+        else:
+            self.service._complete(self, item, response, None)
 
     # ------------------------------------------------------------------ #
     def _account_deadline(self, item: _PendingItem,
@@ -359,8 +287,8 @@ class _ServiceWorker:
         """Advance the virtual clock and stamp deadline fields.
 
         The statistics interval since ``marker`` covers exactly this
-        request's input writes, kernel passes and output reads (deadline
-        mode runs one request per round); pricing it with the platform
+        request's input writes, kernel passes and output reads (a worker
+        runs one request at a time); pricing it with the platform
         model gives the modelled execution time the deadline accounting
         runs on.  The stream/plan *preparation* transfers of a cache
         miss happen before the marker and are deliberately excluded -
@@ -391,16 +319,17 @@ class _ServiceWorker:
 
     # ------------------------------------------------------------------ #
     def cache_info(self) -> Dict[str, object]:
-        return {
-            "entries": len(self._cache),
-            "capacity": self.service.plan_cache_size,
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "per_signature": {
-                label: {"hits": counters[0], "misses": counters[1]}
-                for label, counters in self._sig_stats.items()
-            },
-        }
+        with self._cache_lock:
+            return {
+                "entries": len(self._cache),
+                "capacity": self.service.plan_cache_size,
+                "hits": self._cache_hits,
+                "misses": self._cache_misses,
+                "per_signature": {
+                    label: {"hits": counters[0], "misses": counters[1]}
+                    for label, counters in self._sig_stats.items()
+                },
+            }
 
 
 class BrookService:
@@ -420,11 +349,8 @@ class BrookService:
         device: Device profile handed to GPU backends.
         pool_size: Number of worker runtimes (and threads).
         fuse: Execution mode - ``"pipeline"``/``True`` (prepared fused
-            pipelines, the fastest steady state), ``"queue"`` (batched
-            ``CommandQueue(fuse=True)`` flushes) or ``"off"``/``False``
-            (one pass per kernel call).
-        max_batch: Upper bound on requests a worker drains into one
-            processing round.
+            pipelines, the fastest steady state) or ``"off"``/``False``
+            (one pass per kernel call).  Ignored under ``plan="auto"``.
         plan_cache_size: Prepared request signatures kept per worker
             (least recently used entries are evicted and their streams
             released).
@@ -452,9 +378,9 @@ class BrookService:
             baseline the deadline benchmark compares against.
         plan: ``"manual"`` (default) executes the ``fuse`` mode as
             given; ``"auto"`` lets the cost-model planner pick the
-            execution configuration per request signature (fusion
-            groups, batching - priced on the service's timing platform,
-            which defaults to ``"target"`` without turning deadline
+            execution configuration per request signature (its fusion
+            groups - priced on the service's timing platform, which
+            defaults to ``"target"`` without turning deadline
             tracking on).  Deadline-carrying requests only receive
             configurations whose WCET bound fits the deadline budget;
             when none fits, the request's future raises
@@ -473,7 +399,6 @@ class BrookService:
         device: Optional[str] = None,
         pool_size: int = 2,
         fuse: Union[bool, str, None] = True,
-        max_batch: int = 8,
         plan_cache_size: int = 32,
         compiler_options: Optional[CompilerOptions] = None,
         devices: int = 1,
@@ -484,16 +409,11 @@ class BrookService:
         sanitize: Optional[bool] = None,
     ):
         # Degenerate configurations fail loudly and uniformly with a
-        # RuntimeBrookError instead of being silently clamped (or
-        # surfacing later as a ZeroDivisionError in batching math).
+        # RuntimeBrookError instead of being silently clamped.
         if int(pool_size) < 1:
             raise RuntimeBrookError(
                 f"BrookService needs at least one worker, got "
                 f"pool_size={pool_size}")
-        if int(max_batch) < 1:
-            raise RuntimeBrookError(
-                f"BrookService needs max_batch >= 1, got "
-                f"max_batch={max_batch}")
         if int(plan_cache_size) < 1:
             raise RuntimeBrookError(
                 f"BrookService needs plan_cache_size >= 1, got "
@@ -504,22 +424,20 @@ class BrookService:
                 f"devices={devices}")
         if fuse in (True, "pipeline"):
             self.mode = "pipeline"
-        elif fuse == "queue":
-            self.mode = "queue"
         elif fuse in (False, None, "off"):
             self.mode = "off"
         else:
             raise RuntimeBrookError(
-                f"unknown fuse mode {fuse!r}; expected 'pipeline', 'queue' "
-                "or 'off'"
-            )
+                f"unknown fuse mode {fuse!r}; expected 'pipeline' or 'off'")
         if scheduler not in ("fifo", "edf"):
             raise RuntimeBrookError(
                 f"unknown scheduler {scheduler!r}; expected 'fifo' or 'edf'")
         if plan not in ("manual", "auto"):
             raise RuntimeBrookError(
                 f"unknown plan mode {plan!r}; expected 'manual' or 'auto'")
-        self.plan_mode = plan
+        if plan == "auto":
+            # The planner picks the fusion groups; ``fuse`` is ignored.
+            self.mode = "auto"
         self.scheduler = scheduler
         self.admission = bool(admission)
         #: Deadline accounting is active whenever any deadline feature
@@ -531,7 +449,7 @@ class BrookService:
                                  or platform is not None)
         self.platform = platform or ("target" if self._track_deadlines
                                      else None)
-        if self.plan_mode == "auto" and self.platform is None:
+        if self.mode == "auto" and self.platform is None:
             self.platform = "target"
         if self.platform is not None:
             from ..timing.platforms import PLATFORMS
@@ -548,7 +466,6 @@ class BrookService:
         self.sanitize = sanitize
         self.pool_size = int(pool_size)
         self.devices = int(devices)
-        self.max_batch = int(max_batch)
         self.plan_cache_size = int(plan_cache_size)
         self._compiler_options = compiler_options
         self._dispatch_lock = threading.Lock()
@@ -691,7 +608,6 @@ class BrookService:
                 request, module.program, rt, plans,
                 platform=self.platform,
                 executable_devices=self.devices,
-                max_batch=self.max_batch,
                 limits=rt.backend.target_limits(),
             )
         finally:
@@ -864,7 +780,7 @@ class BrookService:
                 deadline["virtual_s"] = max(
                     (w.virtual_s for w in self.workers), default=0.0)
             report["deadline"] = deadline
-        if self.plan_mode == "auto":
+        if self.mode == "auto":
             with self._plan_lock:
                 decisions = list(self._plan_decisions.values())
                 hits, misses = self._autoplan_hits, self._autoplan_misses

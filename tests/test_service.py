@@ -1,11 +1,12 @@
 """Tests for the multi-runtime serving layer (``repro.service``)."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeBrookError
+from repro.errors import GatherBoundsError, RuntimeBrookError
 from repro.service import (
     BrookService,
     KernelCall,
@@ -99,15 +100,17 @@ class TestBrookService:
             response = service.process(request)
         assert response.value == pytest.approx(data.sum() * 2.0)
 
-    @pytest.mark.parametrize("fuse", ["pipeline", "queue", "off"])
+    @pytest.mark.parametrize("fuse", ["pipeline", "off", "auto"])
     def test_modes_bit_identical(self, fuse):
         rng = np.random.default_rng(3)
         frames = [rng.uniform(-5, 5, (12, 12)).astype(np.float32)
                   for _ in range(6)]
         reference = None
         for mode in ("off", fuse):
+            options = (dict(plan="auto") if mode == "auto"
+                       else dict(fuse=mode))
             with BrookService(backend="cpu", pool_size=2,
-                              fuse=mode) as service:
+                              **options) as service:
                 responses = service.map(
                     [make_request(frame, name=f"f{i}")
                      for i, frame in enumerate(frames)])
@@ -191,26 +194,95 @@ class TestBrookService:
             good = service.process(make_request(data))
         np.testing.assert_allclose(good.outputs["out"], data * 2 + 1)
 
-    def test_tiny_plan_cache_eviction_within_one_batch(self):
-        """Distinct signatures drained into one batch must all succeed
-        even when resolving a later request evicts an earlier one's
-        cache entry (the evicted streams stay alive until the batch is
-        done)."""
+    def test_evicted_entry_streams_released_at_once(self):
+        """With a one-entry plan cache every new signature evicts the
+        previous entry, whose streams are released before the new
+        request completes: the worker only ever holds one entry's."""
         requests = [
             make_request(np.arange(float(4 + 4 * i), dtype=np.float32),
                          name=f"r{i}")
             for i in range(4)
         ]
+        responses = []
         with BrookService(backend="cpu", pool_size=1, fuse="off",
-                          plan_cache_size=1, max_batch=8) as service:
-            # Submit everything before the single worker wakes up so the
-            # batch drain sees all four signatures at once.
-            futures = [service.submit(request) for request in requests]
-            responses = [future.result(timeout=10.0) for future in futures]
+                          plan_cache_size=1) as service:
+            runtime = service.workers[0].runtime
+            for request in requests:
+                responses.append(service.process(request))
+                # x, tmp and out of the current signature only.
+                assert len(runtime.live_streams()) == 3
+            cache = service.service_report()["workers"][0]["plan_cache"]
+        assert cache["entries"] == 1 and cache["misses"] == 4
         for request, response in zip(requests, responses):
             np.testing.assert_allclose(
                 response.outputs["out"],
                 request.inputs["x"] * 2.0 + 1.0)
+
+    def test_failing_request_does_not_fail_its_neighbours(self):
+        """A request whose launch raises fails alone: a valid request
+        queued right behind it on the same worker still succeeds."""
+        gather_src = """
+        kernel void lookup(float idx<>, float table[], out float y<>) {
+            y = table[idx];
+        }
+        """
+        table = np.arange(8.0, dtype=np.float32)
+
+        def lookup(indices, name):
+            return ServiceRequest(
+                source=gather_src,
+                calls=(call("lookup", "idx", "table", "y"),),
+                inputs={"idx": indices, "table": table},
+                outputs={"y": indices.shape},
+                name=name,
+            )
+
+        valid = np.zeros(4, dtype=np.float32)
+        out_of_bounds = np.array([0.0, 1000.0, 0.0, 0.0], dtype=np.float32)
+        good = make_request(np.arange(16.0, dtype=np.float32), name="good")
+        with BrookService(backend="cpu", pool_size=1,
+                          fuse="off") as service:
+            # Warm both signatures so neither request pays preparation.
+            service.process(lookup(valid, "warm"))
+            service.process(good)
+            bad_future = service.submit(lookup(out_of_bounds, "bad"))
+            good_future = service.submit(good)
+            with pytest.raises(GatherBoundsError):
+                bad_future.result(timeout=10.0)
+            response = good_future.result(timeout=10.0)
+        np.testing.assert_allclose(response.outputs["out"],
+                                   np.arange(16.0) * 2.0 + 1.0)
+
+    def test_service_report_races_cache_inserts(self):
+        """service_report() from another thread while the worker inserts
+        fresh signatures into its plan cache must never raise."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        errors = []
+        stop = threading.Event()
+
+        def reporter(service):
+            try:
+                while not stop.is_set():
+                    service.service_report()
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        try:
+            with BrookService(backend="cpu", pool_size=1, fuse="off",
+                              plan_cache_size=1) as service:
+                thread = threading.Thread(target=reporter, args=(service,))
+                thread.start()
+                try:
+                    for i in range(40):
+                        service.process(make_request(
+                            np.zeros(1 + i, dtype=np.float32)))
+                finally:
+                    stop.set()
+                    thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors[0]
 
     def test_submit_after_close_raises(self):
         service = BrookService(backend="cpu", pool_size=1)
@@ -287,6 +359,8 @@ class TestBrookService:
         with pytest.raises(RuntimeBrookError):
             BrookService(fuse="bogus")
         with pytest.raises(RuntimeBrookError):
+            BrookService(fuse="queue")
+        with pytest.raises(RuntimeBrookError):
             BrookService(pool_size=1).submit(object())  # type: ignore[arg-type]
 
     def test_service_report_shape(self):
@@ -301,6 +375,10 @@ class TestBrookService:
         assert report["device_totals"]["passes"] >= 1
         assert len(report["workers"]) == 2
         service.reset_service_stats()
+        # The planner, not ``fuse``, decides the execution under auto.
+        with BrookService(backend="cpu", pool_size=1, fuse="off",
+                          plan="auto") as service:
+            assert service.service_report()["mode"] == "auto"
 
 
 # --------------------------------------------------------------------------- #
@@ -392,7 +470,6 @@ class TestServiceLifecycleAndValidation:
 
     def test_degenerate_configuration_raises_uniformly(self):
         for kwargs in (dict(pool_size=0), dict(pool_size=-3),
-                       dict(max_batch=0), dict(max_batch=-1),
                        dict(plan_cache_size=0), dict(devices=0),
                        dict(devices=-2)):
             with pytest.raises(RuntimeBrookError):
