@@ -102,7 +102,6 @@ from .runtime import (
     BrookRuntime,
     CommandQueue,
     FusedPipeline,
-    FusedPlan,
     LaunchFuture,
     LaunchPlan,
     Stream,
@@ -128,7 +127,6 @@ __all__ = [
     "Stream",
     "StreamShape",
     "LaunchPlan",
-    "FusedPlan",
     "FusedPipeline",
     "CommandQueue",
     "AsyncExecutor",

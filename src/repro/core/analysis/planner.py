@@ -64,7 +64,7 @@ from ..transforms.fuse import check_fusable
 from .resources import TargetLimits
 from .sharding import ArgumentClass, classify_kernel
 from .wcet import (_WorkBound, _add_map_launch, _add_reduction_launch,
-                   _tile_count, kernel_wcet)
+                   _tile_count, piece_wcet)
 
 __all__ = [
     "DEFAULT_DEVICE_COUNTS",
@@ -351,15 +351,14 @@ def _plan_infos(plans: Sequence[object]) -> List["_PlanInfo"]:
             raise PlanningError(
                 f"the auto-planner expects prepared LaunchPlans (from "
                 f"kernel.bind(...)), got {type(plan).__name__}")
-        program = plan.handle.program
         info = _PlanInfo()
         info.index = index
-        info.label = plan.handle.original_name
+        info.label = plan.kernel_name
         info.is_reduction = plan.is_reduction
         if plan.is_reduction:
             piece = plan._reduce_piece
             info.domain = plan._reduce_input.shape
-            info.pieces = [kernel_wcet(program, piece.name)]
+            info.pieces = [piece_wcet(plan._members[0])]
             info.gathers = []
             info.definition = None
             info.piece_paths = [_host_path(piece)]
@@ -372,8 +371,9 @@ def _plan_infos(plans: Sequence[object]) -> List["_PlanInfo"]:
             info.pieces = []
             info.gathers = []
             first_piece, first_args = plan._pieces[0]
-            for piece, (_s, gather_args, scalar_args, _o) in plan._pieces:
-                info.pieces.append(kernel_wcet(program, piece.name))
+            for (piece, (_s, gather_args, scalar_args, _o)), members in zip(
+                    plan._pieces, plan._members):
+                info.pieces.append(piece_wcet(members))
                 spec = classify_kernel(piece.definition)
                 for name, stream in gather_args.items():
                     info.gathers.append(

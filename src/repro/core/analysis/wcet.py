@@ -55,6 +55,7 @@ __all__ = [
     "WCETBound",
     "analyze_kernel_wcet",
     "kernel_wcet",
+    "piece_wcet",
     "program_wcet",
     "plan_wcet",
     "request_wcet",
@@ -327,6 +328,29 @@ def kernel_wcet(program, kernel_name: str) -> KernelWCET:
     )
 
 
+def piece_wcet(members) -> KernelWCET:
+    """WCET work bound of one launch piece, certification-gated.
+
+    ``members`` are the ``(program, kernel)`` pairs of the source
+    kernels the piece executes (``LaunchPlan._members``): one pair for
+    an ordinary piece, one per merged kernel for a fused one.  A fused
+    body is its members' bodies concatenated, with the intermediate
+    fetches turned into locals, so the sum of the members' bounds
+    bounds it - and every member passes the certification gate.
+    """
+    bounds = [kernel_wcet(program, kernel.name) for program, kernel in members]
+    if len(bounds) == 1:
+        return bounds[0]
+    return KernelWCET(
+        kernel_name="+".join(kw.kernel_name for kw in bounds),
+        flops_per_element=sum(kw.flops_per_element for kw in bounds),
+        gather_fetches_per_element=sum(kw.gather_fetches_per_element
+                                       for kw in bounds),
+        stream_inputs=sum(kw.stream_inputs for kw in bounds),
+        max_loop_iterations=sum(kw.max_loop_iterations for kw in bounds),
+    )
+
+
 def program_wcet(program) -> Dict[str, KernelWCET]:
     """Per-kernel WCET work bounds for every kernel of a compiled program.
 
@@ -474,10 +498,9 @@ def _plan_into(work: _WorkBound, plan, devices: int,
         for segment, _ in segments:
             names.extend(_plan_into(work, segment, devices, limits))
         return names
-    program = plan.handle.program if hasattr(plan, "handle") else None
     if getattr(plan, "is_reduction", False):      # reduction LaunchPlan
         piece = plan._reduce_piece
-        kw = kernel_wcet(program, piece.name)
+        kw = piece_wcet(plan._members[0])
         shape = plan._reduce_input.shape
         tiles = _tile_count(shape, limits)
         _add_reduction_launch(work, kw, shape.element_count,
@@ -489,20 +512,10 @@ def _plan_into(work: _WorkBound, plan, devices: int,
         tiles = _tile_count(domain, limits)
         if plan._tile_plan is not None:
             tiles = max(tiles, plan._tile_plan.tile_count)
-        for piece, _args in plan._pieces:
-            kw = kernel_wcet(program, piece.name)
+        for (piece, _args), members in zip(plan._pieces, plan._members):
+            kw = piece_wcet(members)
             _add_map_launch(work, kw, domain.element_count, tiles, devices)
             names.append(piece.name)
-        return names
-    if hasattr(plan, "kernel") and hasattr(plan, "domain"):   # FusedPlan
-        domain = plan.domain
-        tiles = _tile_count(domain, limits)
-        if plan._tile_plan is not None:
-            tiles = max(tiles, plan._tile_plan.tile_count)
-        kernel = plan.kernel
-        kw = analyze_kernel_wcet(kernel.definition, plan.helpers)
-        _add_map_launch(work, kw, domain.element_count, tiles, devices)
-        names.append(kernel.name)
         return names
     raise WCETError(f"cannot derive a WCET bound for {type(plan).__name__}")
 
@@ -511,8 +524,8 @@ def plan_wcet(plan, platform: str = "target", devices: Optional[int] = None,
               limits: Optional[TargetLimits] = None) -> WCETBound:
     """Worst-case kernel time of a prepared launch plan.
 
-    Accepts a :class:`~repro.runtime.launch.LaunchPlan` (map or
-    reduction), :class:`~repro.runtime.launch.FusedPlan` or a whole
+    Accepts a :class:`~repro.runtime.launch.LaunchPlan` (map, fused
+    or reduction) or a whole
     :class:`~repro.runtime.launch.FusedPipeline`.  The bound covers
     kernel passes only (no host transfers - plans do not move data);
     :func:`request_wcet` adds the transfer terms for a full service

@@ -23,7 +23,6 @@ from .kernel import KernelHandle
 from .launch import (
     CommandQueue,
     FusedPipeline,
-    FusedPlan,
     LaunchPlan,
     QueuedLaunch,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "StreamShape",
     "KernelHandle",
     "LaunchPlan",
-    "FusedPlan",
     "FusedPipeline",
     "QueuedLaunch",
     "CommandQueue",

@@ -22,12 +22,11 @@ takes a list of plans forming a pipeline and merges compatible
 producer -> consumer pairs into single fused kernels (see
 :mod:`repro.core.transforms.fuse`), eliminating the intermediate
 streams' write/read traffic and the per-pass dispatch overhead.  A
-:class:`CommandQueue` created with ``rt.queue(fuse=True)`` applies the
-same merging to its batch at flush time.  Pairs that cannot be legally
-fused (reductions, gathers on the intermediate, mismatched domains, an
-intermediate that is still needed afterwards) simply stay separate
-passes - fusion never changes what a pipeline computes, only how many
-passes it takes.
+fused segment is itself a :class:`LaunchPlan` whose single piece is the
+merged kernel.  Pairs that cannot be legally fused (reductions, gathers
+on the intermediate, mismatched domains, an intermediate that is still
+needed afterwards) simply stay separate passes - fusion never changes
+what a pipeline computes, only how many passes it takes.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import BrookRuntime
     from .shape import StreamShape
 
-__all__ = ["LaunchPlan", "FusedPlan", "FusedPipeline", "QueuedLaunch",
-           "CommandQueue", "build_fused_pipeline"]
+__all__ = ["LaunchPlan", "FusedPipeline", "QueuedLaunch", "CommandQueue",
+           "build_fused_pipeline"]
 
 
 class LaunchPlan:
@@ -60,36 +59,73 @@ class LaunchPlan:
     *already validated* bindings.  The plan resolves the launch domain
     and splits the arguments by parameter kind once, so every subsequent
     :meth:`launch` goes straight to the backend.
+
+    A fused segment of a :class:`FusedPipeline` is a plan of the same
+    type (built by :func:`build_fused_pipeline`): its single piece is the
+    merged kernel and it has no ``handle``.
     """
 
     def __init__(self, handle: "KernelHandle", bindings: Dict[str, object]):
         self.handle = handle
         self.runtime: "BrookRuntime" = handle.runtime
+        self.kernel_name = handle.original_name
         self.is_reduction = handle.is_reduction
-        self._bindings = bindings
+        self._helpers = handle._helpers
         self._bound_streams = [
             value for value in bindings.values() if isinstance(value, Stream)
         ]
+        program = handle.program
+        pieces = [program.kernel(name) for name in handle.piece_names]
+        #: Per piece, the ``(program, kernel)`` pairs of the source
+        #: kernels it executes: one pair for an ordinary piece, one per
+        #: merged kernel (in pipeline order) for a fused one.
+        self._members = [((program, piece),) for piece in pieces]
         if self.is_reduction:
             self._prepare_reduction(bindings)
-        else:
-            self._domain = handle._output_domain(bindings)
-            self._pieces = [
-                (piece, handle._classify(piece.definition, bindings))
-                for piece in (handle.program.kernel(name)
-                              for name in handle.piece_names)
-            ]
-            # Tiled dispatch keys on the bound storages (the CPU backend
-            # never tiles, whatever the domain size); resolved once here
-            # so repeated launches skip the lookup.  Every piece of a
-            # split kernel shares the domain, hence the plan.
-            stream_args, _, _, out_args = self._pieces[0][1]
-            self._tile_plan = launch_tile_plan(stream_args, out_args)
+            return
+        self._init_map(handle._output_domain(bindings), [
+            (piece, handle._classify(piece.definition, bindings))
+            for piece in pieces
+        ])
+
+    @classmethod
+    def _fused(cls, runtime: "BrookRuntime", kernel: CompiledKernel,
+              helpers: Dict[str, "ast.FunctionDef"], domain: "StreamShape",
+              args: Tuple[Dict[str, Stream], Dict[str, Stream],
+                          Dict[str, float], Dict[str, Stream]],
+              members: Tuple[Tuple[object, CompiledKernel], ...]
+              ) -> "LaunchPlan":
+        """A one-piece map plan running the fused ``kernel`` over ``args``."""
+        plan = cls.__new__(cls)
+        plan.handle = None
+        plan.runtime = runtime
+        plan.kernel_name = kernel.name
+        plan.is_reduction = False
+        plan._helpers = helpers
+        stream_args, gather_args, _, out_args = args
+        plan._bound_streams = [*stream_args.values(), *gather_args.values(),
+                               *out_args.values()]
+        plan._members = [members]
+        plan._init_map(domain, [(kernel, args)])
+        return plan
+
+    def _init_map(self, domain: "StreamShape", pieces) -> None:
+        self._domain = domain
+        self._pieces = pieces
+        # Tiled dispatch keys on the bound storages (the CPU backend
+        # never tiles, whatever the domain size); resolved once here
+        # so repeated launches skip the lookup.  Every piece of a
+        # split kernel shares the domain, hence the plan.
+        stream_args, _, _, out_args = pieces[0][1]
+        self._tile_plan = launch_tile_plan(stream_args, out_args)
 
     # ------------------------------------------------------------------ #
     @property
-    def kernel_name(self) -> str:
-        return self.handle.original_name
+    def fused_kernel_names(self) -> Tuple[str, ...]:
+        """Source kernels merged into this launch (empty when unfused)."""
+        if self.is_reduction:
+            return ()
+        return self._pieces[0][0].fused_from
 
     def launch(self):
         """Execute the plan and record its statistics with the runtime.
@@ -111,10 +147,10 @@ class LaunchPlan:
         """Run the backend work, appending launch records to ``records``.
 
         Does not register the records with the runtime's statistics -
-        :class:`CommandQueue` uses this to collect the records of a whole
-        batch and register them in one bulk call.  Records are appended
-        as each pass completes, so the caller sees the work that ran even
-        when a later pass raises.
+        :class:`CommandQueue` and :class:`FusedPipeline` use this to
+        collect the records of a whole batch and register them in one
+        bulk call.  Records are appended as each pass completes, so the
+        caller sees the work that ran even when a later pass raises.
         """
         self._require_launchable()
         sanitizer = getattr(self.runtime, "sanitizer", None)
@@ -136,7 +172,7 @@ class LaunchPlan:
     # ------------------------------------------------------------------ #
     def _execute_map(self, records):
         backend = self.runtime.backend
-        helpers = self.handle._helpers
+        helpers = self._helpers
         for piece, (stream_args, gather_args, scalar_args, out_args) in self._pieces:
             if self._tile_plan is None:
                 records.append(backend.launch(
@@ -176,7 +212,7 @@ class LaunchPlan:
 
     def _execute_reduction(self, records):
         backend = self.runtime.backend
-        helpers = self.handle._helpers
+        helpers = self._helpers
         accumulator = self._accumulator
         if accumulator is not None and accumulator.element_count > 1:
             records.append(backend.reduce_into(
@@ -205,100 +241,11 @@ class LaunchPlan:
         return f"<LaunchPlan {kind} {self.kernel_name!r}>"
 
 
-class FusedPlan:
-    """A single launch executing several producer -> consumer kernels.
-
-    Produced by :func:`build_fused_pipeline` (via ``rt.fuse`` or a fusing
-    command queue); never constructed directly by applications.  It
-    quacks like a map-kernel :class:`LaunchPlan`: ``launch()`` records
-    its statistics, ``execute(records)`` is used by command queues, and
-    it can itself serve as the producer of a further fusion step.
-    """
-
-    is_reduction = False
-
-    def __init__(
-        self,
-        runtime: "BrookRuntime",
-        kernel: CompiledKernel,
-        helpers: Dict[str, "ast.FunctionDef"],
-        domain: "StreamShape",
-        stream_args: Dict[str, Stream],
-        gather_args: Dict[str, Stream],
-        scalar_args: Dict[str, float],
-        out_args: Dict[str, Stream],
-        enable_fast_path: bool,
-        enable_vector_path: bool = False,
-    ):
-        self.runtime = runtime
-        self.kernel = kernel
-        self.helpers = helpers
-        self.domain = domain
-        self.stream_args = stream_args
-        self.gather_args = gather_args
-        self.scalar_args = scalar_args
-        self.out_args = out_args
-        self.enable_fast_path = enable_fast_path
-        self.enable_vector_path = enable_vector_path
-        self._bound_streams = list(
-            {id(s): s for s in (*stream_args.values(), *gather_args.values(),
-                                *out_args.values())}.values()
-        )
-        self._tile_plan = launch_tile_plan(stream_args, out_args)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def kernel_name(self) -> str:
-        return self.kernel.name
-
-    @property
-    def fused_kernel_names(self) -> Tuple[str, ...]:
-        """Names of the source kernels merged into this launch."""
-        return self.kernel.fused_from
-
-    def launch(self):
-        records: List["KernelLaunchRecord"] = []
-        try:
-            return self.execute(records)
-        finally:
-            self.runtime.statistics.record_launches(records)
-
-    def execute(self, records: List["KernelLaunchRecord"]):
-        self.runtime._require_open()
-        for stream in self._bound_streams:
-            stream._require_live()
-        sanitizer = getattr(self.runtime, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.before_launch(self)
-        backend = self.runtime.backend
-        if self._tile_plan is None:
-            records.append(backend.launch(
-                self.kernel, self.helpers, self.domain,
-                self.stream_args, self.gather_args, self.scalar_args,
-                self.out_args,
-            ))
-        else:
-            # Fused pipelines tile like ordinary launches: the merged
-            # kernel runs once per tile of the shared domain.
-            records.append(launch_tiled(
-                backend, self.kernel, self.helpers, self.domain,
-                self._tile_plan, self.stream_args, self.gather_args,
-                self.scalar_args, self.out_args,
-            ))
-        if sanitizer is not None:
-            sanitizer.after_launch(self)
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        chain = "+".join(self.fused_kernel_names)
-        return f"<FusedPlan {chain!r}>"
-
-
 class FusedPipeline:
     """An ordered sequence of launch segments produced by ``rt.fuse``.
 
-    Each segment is either a :class:`FusedPlan` (several source kernels
-    merged into one pass) or an original, unfusable :class:`LaunchPlan`
+    Each segment is a :class:`LaunchPlan`: either a fused one (several
+    source kernels merged into one pass) or an original, unfusable plan
     (reductions, gather consumers, mismatched domains).  ``launch()``
     runs the segments in order, records all statistics in one bulk
     operation and returns the last segment's result (the reduced value
@@ -306,7 +253,8 @@ class FusedPipeline:
     """
 
     def __init__(self, runtime: "BrookRuntime",
-                 segments: List[Tuple[object, List[int]]], source_count: int):
+                 segments: List[Tuple[LaunchPlan, List[int]]],
+                 source_count: int):
         self.runtime = runtime
         #: ``(plan, source_indices)`` pairs; the indices point into the
         #: original plan list handed to ``rt.fuse``.
@@ -343,40 +291,20 @@ class FusedPipeline:
                 f"{self.source_count} kernels>")
 
 
-def _plan_fusion_view(plan):
-    """Uniform (kernel, helpers, domain, args...) view of a fusable plan.
-
-    Returns ``None`` when the plan cannot participate in fusion at all
-    (reductions, compiler-split multi-piece kernels).
-    """
-    if isinstance(plan, FusedPlan):
-        return (plan.kernel, plan.helpers, plan.domain, plan.stream_args,
-                plan.gather_args, plan.scalar_args, plan.out_args,
-                plan.enable_fast_path, plan.enable_vector_path)
-    if isinstance(plan, LaunchPlan):
+def _try_fuse_pair(runtime: "BrookRuntime", current: LaunchPlan,
+                   nxt: LaunchPlan, later_plans: Sequence[LaunchPlan]
+                   ) -> Optional[LaunchPlan]:
+    """Merge two adjacent plans, or return ``None`` when illegal."""
+    # Reductions and compiler-split multi-piece kernels never fuse.
+    for plan in (current, nxt):
         if plan.is_reduction or len(plan._pieces) != 1:
             return None
-        piece, (stream_args, gather_args, scalar_args, out_args) = plan._pieces[0]
-        options = plan.handle.program.options
-        return (piece, plan.handle._helpers, plan._domain, stream_args,
-                gather_args, scalar_args, out_args,
-                options.enable_fast_path, options.vector_enabled)
-    return None
-
-
-def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
-                   later_plans: Sequence[object]) -> Optional[FusedPlan]:
-    """Merge two adjacent plans, or return ``None`` when illegal."""
-    producer_view = _plan_fusion_view(current)
-    consumer_view = _plan_fusion_view(nxt)
-    if producer_view is None or consumer_view is None:
+    if current._domain.dims != nxt._domain.dims:
         return None
-    (prod_kernel, prod_helpers, prod_domain, prod_streams, prod_gathers,
-     prod_scalars, prod_outs, prod_fast, prod_vector) = producer_view
-    (cons_kernel, cons_helpers, cons_domain, cons_streams, cons_gathers,
-     cons_scalars, cons_outs, cons_fast, cons_vector) = consumer_view
-    if prod_domain.dims != cons_domain.dims:
-        return None
+    prod_kernel, (prod_streams, prod_gathers, prod_scalars,
+                  prod_outs) = current._pieces[0]
+    cons_kernel, (cons_streams, cons_gathers, cons_scalars,
+                  cons_outs) = nxt._pieces[0]
 
     # Which consumer input-stream parameters read a producer output?
     connections: Dict[str, str] = {}
@@ -409,21 +337,26 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
                                      *prod_gathers.values())):
             return None
         for later in later_plans:
-            if any(stream is s for s in getattr(later, "_bound_streams", ())):
+            if any(stream is s for s in later._bound_streams):
                 return None
 
     # Helper collision across modules: same name must mean the same code.
-    helpers = dict(prod_helpers)
-    for helper_name, definition in cons_helpers.items():
+    helpers = dict(current._helpers)
+    for helper_name, definition in nxt._helpers.items():
         if helpers.get(helper_name, definition) is not definition:
             return None
         helpers[helper_name] = definition
 
+    # The fused kernel keeps an execution path only when every member
+    # kernel was compiled with it.
+    members = current._members[0] + nxt._members[0]
     try:
         fused_kernel, result = fuse_compiled(
             prod_kernel, cons_kernel, connections, helpers,
-            enable_fast_path=prod_fast and cons_fast,
-            enable_vector_path=prod_vector and cons_vector,
+            enable_fast_path=all(program.options.enable_fast_path
+                                 for program, _ in members),
+            enable_vector_path=all(program.options.vector_enabled
+                                   for program, _ in members),
         )
     except FusionError:
         return None
@@ -444,21 +377,19 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
     out_args = {renamed[k]: v for k, v in prod_outs.items()
                 if k not in eliminated}
     out_args.update(cons_outs)
-    return FusedPlan(
-        runtime, fused_kernel, helpers, cons_domain,
-        stream_args, gather_args, scalar_args, out_args,
-        enable_fast_path=prod_fast and cons_fast,
-        enable_vector_path=prod_vector and cons_vector,
+    return LaunchPlan._fused(
+        runtime, fused_kernel, helpers, nxt._domain,
+        (stream_args, gather_args, scalar_args, out_args), members,
     )
 
 
 def build_fused_pipeline(runtime: "BrookRuntime",
-                         plans: Sequence[object]) -> FusedPipeline:
+                         plans: Sequence[LaunchPlan]) -> FusedPipeline:
     """Greedily merge adjacent compatible plans into fused segments."""
     if not plans:
         raise KernelLaunchError("cannot fuse an empty pipeline")
     for plan in plans:
-        if not isinstance(plan, (LaunchPlan, FusedPlan)):
+        if not isinstance(plan, LaunchPlan):
             raise KernelLaunchError(
                 "rt.fuse expects prepared launch plans "
                 "(use kernel.bind(...) to create them)"
@@ -511,15 +442,6 @@ class CommandQueue:
     block exits without an exception - runs everything in submission
     order and records the launch statistics in one bulk operation.
 
-    A queue created with ``rt.queue(fuse=True)`` additionally merges
-    adjacent compatible producer -> consumer launches into fused kernels
-    at flush time.  Intermediate streams consumed inside a fused pair are
-    **not** materialised (their device contents stay unchanged); batches
-    that read an intermediate after the flush should keep fusion off or
-    use an explicit ``rt.fuse`` pipeline.  Fusion re-runs per flush -
-    long-lived services that launch the same pipeline repeatedly should
-    prepare it once with ``rt.fuse([...])`` instead.
-
     Command queues are **per-thread** objects: the runtime's
     active-queue stack is thread-local, so a queue only captures kernel
     calls made by the thread that activated it - launches issued
@@ -530,9 +452,8 @@ class CommandQueue:
     :class:`~repro.runtime.executor.AsyncExecutor`.
     """
 
-    def __init__(self, runtime: "BrookRuntime", fuse: bool = False):
+    def __init__(self, runtime: "BrookRuntime"):
         self.runtime = runtime
-        self.fuse_enabled = bool(fuse)
         self._pending: List[QueuedLaunch] = []
         self.flushed_launches = 0
         # Set while the context-manager exit performs its automatic
@@ -569,24 +490,11 @@ class CommandQueue:
         records: List["KernelLaunchRecord"] = []
         results: List[object] = []
         try:
-            if self.fuse_enabled and len(pending) > 1:
-                pipeline = build_fused_pipeline(
-                    self.runtime, [queued.plan for queued in pending])
-                for plan, indices in pipeline.segments:
-                    result = plan.execute(records)
-                    for index in indices:
-                        queued = pending[index]
-                        # A fused segment covers several submissions; all
-                        # of them were map kernels, whose result is None.
-                        queued.result = result if len(indices) == 1 else None
-                        queued.done = True
-                        results.append(queued.result)
-            else:
-                for queued in pending:
-                    result = queued.plan.execute(records)
-                    queued.result = result
-                    queued.done = True
-                    results.append(result)
+            for queued in pending:
+                result = queued.plan.execute(records)
+                queued.result = result
+                queued.done = True
+                results.append(result)
         finally:
             self.flushed_launches += len(results)
             self.runtime.statistics.record_launches(records)

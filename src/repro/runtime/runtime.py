@@ -120,7 +120,9 @@ class BrookRuntime:
             device: Device profile for GPU backends (e.g. ``"videocore-iv"``,
                 ``"mali-400"``, ``"radeon-hd3400"``).
             compiler_options: Base compiler options; the target limits are
-                always overridden with the backend's limits.
+                always overridden with the backend's limits, every other
+                option applies to each :meth:`compile` call that does not
+                override it.
             compile_cache_size: Maximum number of compiled programs kept in
                 the compile cache (least recently used entries are evicted;
                 ``0`` disables caching).
@@ -248,9 +250,9 @@ class BrookRuntime:
         self,
         source: str,
         param_bounds: Optional[Dict[str, Dict[str, float]]] = None,
-        strict: bool = True,
+        strict: Optional[bool] = None,
         filename: str = "<string>",
-        scalarize: bool = False,
+        scalarize: Optional[bool] = None,
         range_specs: Optional[Dict[str, dict]] = None,
     ) -> BrookModule:
         """Compile Brook source for this runtime's backend.
@@ -268,6 +270,11 @@ class BrookRuntime:
             filename: Name used in diagnostics.
             scalarize: Apply the vector-to-scalar transformation pass.
 
+        ``param_bounds``, ``range_specs``, ``strict`` and ``scalarize``
+        default to the runtime's base ``compiler_options`` (or the
+        :class:`~repro.core.compiler.CompilerOptions` defaults when none
+        were given); a value passed here replaces the base value.
+
         Compilation results are cached: compiling the same source with an
         equivalent option set (same options fingerprint, which includes
         the backend's target limits) returns the cached
@@ -280,10 +287,14 @@ class BrookRuntime:
         else:
             options = CompilerOptions()
         options.target = self.backend.target_limits()
-        options.param_bounds = dict(param_bounds or {})
-        options.range_specs = dict(range_specs or {})
-        options.strict = strict
-        options.scalarize = scalarize
+        options.param_bounds = dict(
+            options.param_bounds if param_bounds is None else param_bounds)
+        options.range_specs = dict(
+            options.range_specs if range_specs is None else range_specs)
+        if strict is not None:
+            options.strict = strict
+        if scalarize is not None:
+            options.scalarize = scalarize
 
         key = (source, filename, options.fingerprint())
         with self._compile_cache_lock:
@@ -378,21 +389,16 @@ class BrookRuntime:
     # ------------------------------------------------------------------ #
     # Command queues
     # ------------------------------------------------------------------ #
-    def queue(self, fuse: bool = False) -> CommandQueue:
+    def queue(self) -> CommandQueue:
         """A deferred launch queue for this runtime.
 
         Used as a context manager: kernel calls inside the ``with`` block
         are batched and flushed in one pass when the block exits (or when
         :meth:`~repro.runtime.launch.CommandQueue.flush` is called).
-
-        With ``fuse=True`` the flush first merges adjacent compatible
-        producer -> consumer launches into single fused kernels; the
-        intermediate streams consumed inside a merged pair are not
-        materialised (see :meth:`fuse` for the pipeline form that
-        amortises the fusion work across launches).
+        Queues never fuse; use :meth:`fuse` to merge a pipeline.
         """
         self._require_open()
-        return CommandQueue(self, fuse=fuse)
+        return CommandQueue(self)
 
     # ------------------------------------------------------------------ #
     # Kernel fusion

@@ -217,15 +217,11 @@ class BrookSanitizer:
         the runtime overwrites them, so reading their creation zeros is
         part of the contract, not a defect.
         """
-        from .launch import FusedPlan, LaunchPlan
+        from .launch import LaunchPlan
 
         reads: Dict[str, object] = {}
         writes: Dict[str, object] = {}
-        if isinstance(plan, FusedPlan):
-            reads.update(plan.stream_args)
-            reads.update(plan.gather_args)
-            writes.update(plan.out_args)
-        elif isinstance(plan, LaunchPlan):
+        if isinstance(plan, LaunchPlan):
             if plan.is_reduction:
                 reads["<reduce-input>"] = plan._reduce_input
                 if plan._accumulator is not None:
@@ -238,10 +234,8 @@ class BrookSanitizer:
         return reads, writes
 
     def _plan_location(self, plan: object) -> Optional[SourceLocation]:
-        from .launch import FusedPlan, LaunchPlan
+        from .launch import LaunchPlan
 
-        if isinstance(plan, FusedPlan):
-            return getattr(plan.kernel.definition, "location", None)
         if isinstance(plan, LaunchPlan):
             if plan.is_reduction:
                 return getattr(plan._reduce_piece.definition, "location", None)

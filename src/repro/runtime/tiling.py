@@ -28,9 +28,9 @@ launched.  The engine makes oversized domains a first-class scenario:
   because a single reduction pass cannot sample across tile textures.
 
 Integration is transparent: :class:`~repro.runtime.launch.LaunchPlan`
-and :class:`~repro.runtime.launch.FusedPlan` consult the plan at launch
-time, so direct calls, prepared launches, command-queue flushes and
-fused pipelines all tile without application changes.
+(fused or not) consults the plan at launch time, so direct calls,
+prepared launches, command-queue flushes and fused pipelines all tile
+without application changes.
 """
 
 from __future__ import annotations

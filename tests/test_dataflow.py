@@ -161,8 +161,11 @@ class TestGraphConstruction:
         pipeline = rt.fuse([mod.scale.bind(x, 2.0, t),
                             mod.scale.bind(t, 3.0, z)])
         graph = build_dataflow_graph(pipeline)
-        assert graph.nodes
+        assert [node.kind for node in graph.nodes] == ["fused"]
         assert all(node.fused_context for node in graph.nodes)
+        # A fused segment handed over on its own is still a fused node.
+        (node,) = build_dataflow_graph([pipeline.segments[0][0]]).nodes
+        assert node.kind == "fused" and node.fused_context
 
     def test_unmodellable_launchable_is_skipped(self, rt, mod):
         x, t = _stream(rt), _stream(rt)

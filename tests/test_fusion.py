@@ -1,7 +1,7 @@
 """Tests for kernel fusion: legality, AST merging, runtime pipelines.
 
 Covers the AST transform (repro.core.transforms.fuse), the runtime entry
-points (``rt.fuse``, ``rt.queue(fuse=True)``), equivalence of fused and
+point (``rt.fuse``), equivalence of fused and
 unfused pipelines on the CPU and OpenGL ES 2 backends, fallback
 behaviour for illegal pairs and the statistics/timing accounting of the
 saved passes and stream traffic.
@@ -17,7 +17,7 @@ from repro.core.transforms.fuse import (
     fuse_definitions,
 )
 from repro.errors import FusionError, KernelLaunchError
-from repro.runtime import BrookRuntime, FusedPipeline, FusedPlan
+from repro.runtime import BrookRuntime, FusedPipeline, LaunchPlan
 from repro.timing import GPUModel, GPUCostParameters
 
 PIPELINE_SOURCE = """
@@ -162,7 +162,7 @@ class TestRuntimeFusion:
             assert pipeline.pass_count == 1
             assert pipeline.kernels_fused == 2
             plan = pipeline.segments[0][0]
-            assert isinstance(plan, FusedPlan)
+            assert isinstance(plan, LaunchPlan)
             assert plan.fused_kernel_names == ("scale", "offset", "scale")
             pipeline.launch()
             expected = (2.0 * pipeline_data + 0.25) * 0.5
@@ -349,8 +349,9 @@ class TestRuntimeFusion:
                 module.offset.bind(y, 0.25, z),
             ])
             plan = pipeline.segments[0][0]
-            assert isinstance(plan, FusedPlan)
-            assert plan.kernel.fast_path is None
+            assert isinstance(plan, LaunchPlan)
+            assert plan.fused_kernel_names == ("scale", "offset")
+            assert plan._pieces[0][0].fast_path is None
             pipeline.launch()
             np.testing.assert_allclose(z.read(), 2.0 * pipeline_data + 0.25,
                                        rtol=1e-6)
@@ -415,10 +416,10 @@ class TestScalableAppPipeline:
 
 
 # --------------------------------------------------------------------------- #
-# Fusing command queues
+# Pipelines against command queues
 # --------------------------------------------------------------------------- #
-class TestQueueFusion:
-    def test_fusing_queue_matches_plain_queue(self, pipeline_data):
+class TestPipelineVersusQueue:
+    def test_fused_pipeline_matches_plain_queue(self, pipeline_data):
         results = {}
         for fuse in (False, True):
             with BrookRuntime() as rt:
@@ -426,32 +427,37 @@ class TestQueueFusion:
                 x = rt.stream_from(pipeline_data)
                 y = rt.stream((SIZE, SIZE))
                 z = rt.stream((SIZE, SIZE))
-                with rt.queue(fuse=fuse) as queue:
-                    module.scale(x, 2.0, y)
-                    module.offset(y, 0.25, z)
-                results[fuse] = (z.read(), rt.statistics.total_passes,
-                                 queue.flushed_launches)
-        fused_out, fused_passes, fused_flushed = results[True]
-        plain_out, plain_passes, plain_flushed = results[False]
+                if fuse:
+                    rt.fuse([module.scale.bind(x, 2.0, y),
+                             module.offset.bind(y, 0.25, z)]).launch()
+                else:
+                    with rt.queue() as queue:
+                        module.scale(x, 2.0, y)
+                        module.offset(y, 0.25, z)
+                    assert queue.flushed_launches == 2
+                results[fuse] = (z.read(), rt.statistics.total_passes)
+        fused_out, fused_passes = results[True]
+        plain_out, plain_passes = results[False]
         assert np.array_equal(fused_out.view(np.uint32),
                               plain_out.view(np.uint32))
         assert plain_passes == 2 and fused_passes == 1
-        assert fused_flushed == plain_flushed == 2
 
-    def test_fusing_queue_keeps_reduction_results(self, pipeline_data):
+    def test_pipeline_ending_in_reduction_returns_reduced_value(
+            self, pipeline_data):
         with BrookRuntime() as rt:
             module = rt.compile(PIPELINE_SOURCE)
             x = rt.stream_from(pipeline_data)
             y = rt.stream((SIZE, SIZE))
             z = rt.stream((SIZE, SIZE))
-            with rt.queue(fuse=True) as queue:
-                module.scale(x, 2.0, y)
-                module.offset(y, 0.25, z)
-                queued = module.total(z)
-            assert queued.done
+            pipeline = rt.fuse([
+                module.scale.bind(x, 2.0, y),
+                module.offset.bind(y, 0.25, z),
+                module.total.bind(z),
+            ])
+            assert pipeline.pass_count == 2
             expected = float(np.sum(2.0 * pipeline_data + 0.25,
                                     dtype=np.float64))
-            assert queued.result == pytest.approx(expected, rel=1e-3)
+            assert pipeline.launch() == pytest.approx(expected, rel=1e-3)
 
 
 # --------------------------------------------------------------------------- #

@@ -114,6 +114,19 @@ class TestFindings:
         mod.scale.bind(t, 3.0, z).launch()
         assert _kinds(rt) == []
 
+    def test_fused_pipeline_leaves_intermediate_uninitialized(self, rt, mod):
+        x = _stream(rt, np.ones((4, 4)))
+        t, z, w = rt.stream((4, 4)), rt.stream((4, 4)), rt.stream((4, 4))
+        pipeline = rt.fuse([mod.scale.bind(x, 2.0, t),
+                            mod.scale.bind(t, 3.0, z)])
+        assert pipeline.pass_count == 1
+        pipeline.launch()
+        mod.scale.bind(z, 1.0, w).launch()      # fused output: initialized
+        assert _kinds(rt) == []
+        mod.scale.bind(t, 1.0, w).launch()      # eliminated intermediate
+        assert _kinds(rt) == ["uninitialized-read"]
+        np.testing.assert_allclose(z.read(), 6.0)
+
     def test_nan_origin_blames_first_producer_only(self, rt, mod):
         x = _stream(rt, np.ones((4, 4)))
         y, z = rt.stream((4, 4)), rt.stream((4, 4))

@@ -19,7 +19,12 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.core.compiler import BrookAutoCompiler, CompilerOptions
-from repro.errors import KernelLaunchError, RuntimeBrookError, StreamError
+from repro.errors import (
+    CertificationError,
+    KernelLaunchError,
+    RuntimeBrookError,
+    StreamError,
+)
 from repro.runtime import BrookRuntime, CommandQueue, LaunchPlan, QueuedLaunch
 
 SAXPY = "kernel void saxpy(float a, float x<>, float y<>, out float r<>) { r = a * x + y; }"
@@ -167,6 +172,30 @@ class TestCompileCache:
         info = cpu_runtime.compile_cache_info()
         assert info["misses"] == 3
         assert info["hits"] == 0
+
+    def test_base_options_reach_every_compile(self):
+        loopy = """
+        kernel void loopy(float a<>, float n, out float b<>) {
+            float s = 0.0;
+            for (int i = 0; i < n; i = i + 1) { s = s + a; }
+            b = s;
+        }
+        """
+        with pytest.raises(CertificationError):
+            BrookRuntime(backend="cpu").compile(loopy)
+        lenient = BrookRuntime(
+            backend="cpu", compiler_options=CompilerOptions(strict=False))
+        assert not lenient.compile(loopy).program.is_certified
+        bounded = BrookRuntime(backend="cpu", compiler_options=CompilerOptions(
+            param_bounds={"loopy": {"n": 8}}))
+        assert bounded.compile(loopy).program.is_certified
+        # A compile argument replaces the base value, and the two option
+        # sets stay apart in the cache.
+        with pytest.raises(CertificationError):
+            bounded.compile(loopy, param_bounds={})
+        assert not bounded.compile(loopy, param_bounds={},
+                                   strict=False).program.is_certified
+        assert bounded.compile_cache_info()["misses"] == 2
 
     def test_different_backends_do_not_share_entries(self):
         cpu_rt = BrookRuntime(backend="cpu")

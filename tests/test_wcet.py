@@ -230,6 +230,40 @@ class TestPlanSoundness:
         pipeline.launch()
         assert bound.seconds >= modelled_seconds(rt, marker)
 
+    def test_fused_param_bounded_loop_keeps_its_bound(self):
+        # The fused kernel has no param_bounds entry of its own: its bound
+        # must come from the member kernels' bounds, and without them the
+        # certification gate must refuse the fused segment too.
+        source = """
+        kernel void acc(float a<>, float n, out float b<>) {
+            float s = 0.0;
+            for (int i = 0; i < n; i = i + 1) { s = s + a; }
+            b = s;
+        }
+        kernel void twice(float b<>, out float c<>) { c = 2.0 * b; }
+        """
+        rt = BrookRuntime(backend="cpu")
+        x = rt.stream_from(self._frame())
+        y, z = rt.stream((16, 16)), rt.stream((16, 16))
+        module = rt.compile(source, param_bounds={"acc": {"n": 8}})
+        plans = [module.acc.bind(x, 8.0, y), module.twice.bind(y, z)]
+        limits = rt.backend.target_limits()
+        for plan in plans:
+            plan_wcet(plan, limits=limits)
+        pipeline = rt.fuse(plans)
+        assert pipeline.pass_count == 1
+        bound = plan_wcet(pipeline, limits=limits)
+        marker = rt.statistics.marker()
+        pipeline.launch()
+        assert bound.seconds >= modelled_seconds(rt, marker)
+
+        unbounded = rt.compile(source, strict=False)
+        plans = [unbounded.acc.bind(x, 8.0, y), unbounded.twice.bind(y, z)]
+        with pytest.raises(WCETError, match="BA-005"):
+            plan_wcet(plans[0], limits=limits)
+        with pytest.raises(WCETError, match="BA-005"):
+            plan_wcet(rt.fuse(plans), limits=limits)
+
     def test_sharded_plan_bound_is_sound(self):
         rt = BrookRuntime(backend="cpu", devices=2)
         module = rt.compile(PIPELINE_SRC)
