@@ -14,9 +14,17 @@ masked SIMT interpreter (:mod:`repro.core.exec.evaluator`).  Backends
 differ in where stream data lives, how much precision survives storage,
 how gather accesses behave at the edges and which hardware limits apply.
 
-Streams whose 2-D layout exceeds ``TargetLimits.max_texture_size`` are
-backed by a :class:`~repro.runtime.tiling.TiledStorage` (one device
-texture/resource per tile); the launch plans drive one backend pass per
+A stream cut into parts - tiles when its 2-D layout exceeds
+``TargetLimits.max_texture_size``, shards on a device group - is backed
+by a :class:`~repro.runtime.partition.PartitionedStorage`.  This class
+implements its transfers, views and frees once (``_upload_parts`` and
+friends; reductions are :func:`~repro.runtime.partition.reduce_parts`):
+split the data by the plan, call each part's owning backend
+(:meth:`part_backend`: the backend itself for a tile, device ``k`` for a
+shard) and sum the part records.  A concrete backend implements the
+single-storage path, hands a partitioned storage to those shared paths,
+and says in ``create_storage`` when a stream is cut
+(:meth:`_create_parts`).  The launch plans drive one backend pass per
 tile through :mod:`repro.runtime.tiling`, passing ``index_map`` so
 ``indexof`` still reports global positions.
 """
@@ -35,7 +43,9 @@ from ..core import ast_nodes as ast
 from ..core.exec.evaluator import KernelEvaluator, KernelExecutionStats
 from ..core.exec.gather import ClampingGatherSource, GatherSource
 from ..errors import KernelLaunchError
+from ..runtime.partition import PartitionedStorage, is_tiled
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
+from ..runtime.reduction import partial_reduce, reduction_record
 from ..runtime.shape import StreamShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -174,6 +184,89 @@ class Backend(abc.ABC):
         """Bytes of device memory currently allocated to streams."""
 
     # ------------------------------------------------------------------ #
+    # Partitioned storage: the part paths every backend shares
+    # ------------------------------------------------------------------ #
+    def part_backend(self, index: int) -> "Backend":
+        """The backend owning part ``index`` of a partitioned storage.
+
+        Tiles live on the backend that cut them; the sharded device
+        group overrides this to hand shard ``k`` to device ``k``.
+        """
+        return self
+
+    def run_parts(self, tasks: List) -> List[object]:
+        """Run one callable per part, results in part order.
+
+        Tiles of one device run serially; the sharded device group runs
+        its shards concurrently.
+        """
+        return [task() for task in tasks]
+
+    def _create_parts(self, shape: StreamShape, element_width: int,
+                      name: str, plan) -> PartitionedStorage:
+        """Allocate one storage per part of ``plan`` on its owning backend."""
+        parts = [
+            self.part_backend(part.index).create_storage(
+                plan.part_shape(part), element_width,
+                f"{name}/{plan.part}{part.index}")
+            for part in plan.parts
+        ]
+        storage = PartitionedStorage(shape, element_width, name, plan, parts)
+        self._track_storage(storage)
+        return storage
+
+    def _part_transfer(self, storage: PartitionedStorage, direction: str,
+                       records) -> TransferRecord:
+        """One logical transfer summing the per-part driver traffic."""
+        return TransferRecord(stream=storage.name, direction=direction,
+                              bytes=sum(r.bytes for r in records),
+                              elements=storage.shape.element_count,
+                              calls=sum(r.calls for r in records))
+
+    def _upload_parts(self, storage: PartitionedStorage,
+                      data: np.ndarray) -> TransferRecord:
+        """:meth:`upload` of a partitioned storage, part by part."""
+        data = np.asarray(data, dtype=np.float32)
+        expected = storage.shape.layout_2d
+        if storage.element_width != 1:
+            expected += (storage.element_width,)
+        if data.shape != expected:
+            raise KernelLaunchError(
+                f"stream {storage.name!r}: cannot write data of shape "
+                f"{data.shape} into a stream of layout {expected}"
+            )
+        records = [self.part_backend(k).upload(part, block)
+                   for k, (part, block) in enumerate(
+                       zip(storage.parts, storage.plan.split(data)))]
+        storage.invalidate_view()
+        return self._part_transfer(storage, "upload", records)
+
+    def _download_parts(self, storage: PartitionedStorage
+                        ) -> "tuple[np.ndarray, TransferRecord]":
+        """:meth:`download` of a partitioned storage, part by part."""
+        blocks, records = zip(*(self.part_backend(k).download(part)
+                                for k, part in enumerate(storage.parts)))
+        return (storage.plan.join(blocks),
+                self._part_transfer(storage, "download", records))
+
+    def _view_parts(self, storage: PartitionedStorage) -> np.ndarray:
+        """:meth:`device_view` of a partitioned storage: the parts'
+        views joined, memoised until the storage is next written."""
+        return storage.cached_view(lambda: storage.plan.join([
+            self.part_backend(k).device_view(part)
+            for k, part in enumerate(storage.parts)]))
+
+    def _free_parts(self, storage: PartitionedStorage) -> None:
+        """:meth:`free` of a partitioned storage.
+
+        The atomic check-and-remove lets exactly one of a racing release
+        and GC finalizer free the parts.
+        """
+        if self._untrack_storage(storage):
+            for k, part in enumerate(storage.parts):
+                self.part_backend(k).free(part)
+
+    # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def make_gather_source(self, data: np.ndarray) -> GatherSource:
@@ -246,7 +339,11 @@ class Backend(abc.ABC):
         helpers: Dict[str, ast.FunctionDef],
         input_stream: "Stream",
     ) -> "tuple[float, KernelLaunchRecord]":
-        """Run a multipass reduction of ``input_stream`` to a scalar."""
+        """Run a multipass reduction of ``input_stream`` to a scalar.
+
+        A partitioned stream reduces part by part
+        (:func:`~repro.runtime.partition.reduce_parts`).
+        """
 
     # ------------------------------------------------------------------ #
     # Partial reductions (reduce to a smaller stream)
@@ -258,9 +355,22 @@ class Backend(abc.ABC):
 
     def _store_reduction_output(self, storage: StreamStorage,
                                 values: np.ndarray) -> None:
-        """Place reduction results into device storage without modelling a
-        host transfer (the data never leaves the device)."""
+        """Place reduction results into one single storage without
+        modelling a host transfer (the data never leaves the device)."""
         raise NotImplementedError
+
+    def _store_reduction(self, storage: StreamStorage,
+                         values: np.ndarray) -> None:
+        """:meth:`_store_reduction_output`, part by part when partitioned."""
+        if not isinstance(storage, PartitionedStorage):
+            self._store_reduction_output(storage, values)
+            return
+        values = np.asarray(values, dtype=np.float32).reshape(
+            storage.shape.layout_2d)
+        for k, (part, block) in enumerate(
+                zip(storage.parts, storage.plan.split(values))):
+            self.part_backend(k)._store_reduction(part, block)
+        storage.invalidate_view()
 
     def reduce_into(
         self,
@@ -273,21 +383,20 @@ class Backend(abc.ABC):
 
         The output stream's extents must evenly divide the input stream's
         extents; each output element receives the reduction of its block.
-        A *tiled* input reduces over its stitched logical view; a tiled
-        output is rejected (each output element would straddle per-tile
-        textures that a reduction pass cannot write together - reduce
-        into a stream that fits one texture instead).
+        A partitioned input reduces over its joined logical view; a
+        sharded output is stored band by band.  A tiled output - or a
+        sharded one with a tiled band - is rejected (each output element
+        would straddle per-tile textures that a reduction pass cannot
+        write together - reduce into a stream that fits one texture per
+        device instead).
         """
-        from ..runtime.reduction import partial_reduce
-        from ..runtime.tiling import TiledStorage
-
-        if isinstance(output_stream.storage, TiledStorage):
+        if is_tiled(output_stream.storage):
             raise KernelLaunchError(
                 f"reduction output stream {output_stream.name!r} of shape "
                 f"{tuple(output_stream.shape.dims)} exceeds the device "
                 "texture limit and would itself be tiled; reduce into a "
-                "stream that fits one texture (partial reductions write "
-                "one render target per pass)"
+                "stream that fits one texture per device (partial "
+                "reductions write one render target per pass)"
             )
         in_dims = input_stream.shape.dims
         out_dims = output_stream.shape.dims
@@ -304,15 +413,8 @@ class Backend(abc.ABC):
             kernel.definition, helpers, np.asarray(data, dtype=np.float32),
             output_stream.shape.layout_2d, quantize=self._reduction_quantize(),
         )
-        self._store_reduction_output(output_stream.storage, result.values)
-        return KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
+        self._store_reduction(output_stream.storage, result.values)
+        return reduction_record(kernel.name, result)
 
     # ------------------------------------------------------------------ #
     # Shared execution helper

@@ -26,10 +26,11 @@ from ..core.analysis.resources import TargetLimits
 from ..core.compiler import CompiledKernel
 from ..core.exec.gather import ClampingGatherSource
 from ..errors import BackendError, KernelLaunchError
+from ..runtime.partition import PartitionedStorage, reduce_parts
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
-from ..runtime.reduction import multipass_reduce
+from ..runtime.reduction import multipass_reduce, reduction_record
 from ..runtime.shape import StreamShape
-from ..runtime.tiling import TilePlan, TiledStorage
+from ..runtime.tiling import TilePlan
 from .base import Backend, StreamStorage
 from .registry import register_backend
 
@@ -70,28 +71,20 @@ class CALBackend(Backend):
     # ------------------------------------------------------------------ #
     def create_storage(self, shape: StreamShape, element_width: int,
                        name: str = "") -> StreamStorage:
-        plan = TilePlan.for_shape(shape, self.target_limits())
-        if plan.is_trivial:
-            rows, cols = shape.layout_2d
-            resource = self.context.alloc_resource(cols, rows, element_width,
-                                                   name=name)
-            storage = CALStreamStorage(shape, element_width, name, resource)
-            self._track_storage(storage)
-            return storage
-        # Oversized (or folded) stream: one float32 resource per tile.
-        tiles = []
-        for tile in plan.tiles:
-            tile_shape = plan.tile_shape(tile)
-            tile_name = f"{name}/tile{tile.index}"
-            resource = self.context.alloc_resource(
-                tile.cols, tile.rows, element_width, name=tile_name)
-            tiles.append(CALStreamStorage(tile_shape, element_width,
-                                          tile_name, resource))
-        storage = TiledStorage(shape, element_width, name, plan, tiles)
+        plan = TilePlan(shape, self.target_limits())
+        if not plan.is_trivial:
+            # Oversized (or folded) stream: one float32 resource per tile.
+            return self._create_parts(shape, element_width, name, plan)
+        rows, cols = shape.layout_2d
+        resource = self.context.alloc_resource(cols, rows, element_width,
+                                               name=name)
+        storage = CALStreamStorage(shape, element_width, name, resource)
         self._track_storage(storage)
         return storage
 
     def upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
+        if isinstance(storage, PartitionedStorage):
+            return self._upload_parts(storage, data)
         rows, cols = storage.shape.layout_2d
         data = np.asarray(data, dtype=np.float32)
         expected = (rows, cols) if storage.element_width == 1 \
@@ -101,51 +94,33 @@ class CALBackend(Backend):
                 f"stream {storage.name!r}: cannot write data of shape {data.shape} "
                 f"into a stream of layout {expected}"
             )
-        if isinstance(storage, TiledStorage):
-            folded = storage.plan.fold(data)
-            for tile, tile_storage in zip(storage.plan.tiles, storage.tiles):
-                self.upload(tile_storage, storage.plan.slice(folded, tile))
-            storage.invalidate_view()
-            return TransferRecord(stream=storage.name, direction="upload",
-                                  bytes=int(data.nbytes),
-                                  elements=storage.shape.element_count,
-                                  calls=storage.tile_count)
         self.context.upload(storage.resource, data)
         return TransferRecord(stream=storage.name, direction="upload",
                               bytes=int(data.nbytes),
                               elements=storage.shape.element_count)
 
     def download(self, storage: StreamStorage):
-        if isinstance(storage, TiledStorage):
-            blocks = [self.context.download(tile_storage.resource)
-                      for tile_storage in storage.tiles]
-            data = storage.plan.unfold(storage.plan.stitch(blocks))
-            calls = storage.tile_count
-        else:
-            data = self.context.download(storage.resource)
-            calls = 1
+        if isinstance(storage, PartitionedStorage):
+            return self._download_parts(storage)
+        data = self.context.download(storage.resource)
         record = TransferRecord(stream=storage.name, direction="download",
                                 bytes=int(np.asarray(data).nbytes),
-                                elements=storage.shape.element_count,
-                                calls=calls)
+                                elements=storage.shape.element_count)
         return np.asarray(data, dtype=np.float32), record
 
     def device_view(self, storage: StreamStorage) -> np.ndarray:
-        if isinstance(storage, TiledStorage):
-            return storage.cached_view(lambda: storage.plan.unfold(
-                storage.plan.stitch([self.device_view(tile_storage)
-                                     for tile_storage in storage.tiles])))
+        if isinstance(storage, PartitionedStorage):
+            return self._view_parts(storage)
         return storage.resource.read()
 
     def free(self, storage: StreamStorage) -> None:
+        if isinstance(storage, PartitionedStorage):
+            self._free_parts(storage)
+            return
         # Atomic check-and-remove: a release racing the GC finalizer
         # frees each CAL resource exactly once.
         if self._untrack_storage(storage):
-            if isinstance(storage, TiledStorage):
-                for tile_storage in storage.tiles:
-                    self.context.free_resource(tile_storage.resource)
-            else:
-                self.context.free_resource(storage.resource)
+            self.context.free_resource(storage.resource)
 
     def device_memory_in_use(self) -> int:
         return self.context.device_memory_in_use()
@@ -214,17 +189,11 @@ class CALBackend(Backend):
         helpers: Dict[str, ast.FunctionDef],
         input_stream,
     ):
+        if isinstance(input_stream.storage, PartitionedStorage):
+            return reduce_parts(self, kernel, helpers, input_stream)
         data = self.device_view(input_stream.storage)
         result = multipass_reduce(kernel.definition, helpers, data, quantize=None)
-        record = KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
-        return result.value, record
+        return result.value, reduction_record(kernel.name, result)
 
 
 register_backend(

@@ -24,7 +24,7 @@ from ..core.compiler import CompiledKernel
 from ..core.exec.gather import NumpyGatherSource
 from ..errors import BackendError, KernelLaunchError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
-from ..runtime.reduction import multipass_reduce
+from ..runtime.reduction import multipass_reduce, reduction_record
 from ..runtime.shape import StreamShape
 from .base import Backend, StreamStorage
 from .registry import register_backend
@@ -179,15 +179,7 @@ class CPUBackend(Backend):
     ):
         data = input_stream.storage.data
         result = multipass_reduce(kernel.definition, helpers, data, quantize=None)
-        record = KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
-        return result.value, record
+        return result.value, reduction_record(kernel.name, result)
 
 
 register_backend(

@@ -9,17 +9,20 @@ fused pipelines, command queues, the async executor and the serving
 layer all talk to "the backend" exactly as before, and the wrapper
 
 * backs every stream whose :class:`~repro.core.analysis.sharding.ShardPlan`
-  is non-trivial with a :class:`~repro.runtime.sharding.ShardedStorage`
+  is non-trivial with a :class:`~repro.runtime.partition.PartitionedStorage`
   (one per-device storage per band; small streams stay whole on device 0),
-* scatters uploads / gathers downloads band-by-band, reporting one
-  logical transfer with the per-device driver call count,
+* owns shard ``k`` by device ``k`` (:meth:`part_backend`) and runs the
+  shards concurrently (:meth:`run_parts`), so the base class's partition
+  paths scatter uploads and gather downloads band by band, reporting one
+  logical transfer with the per-device driver call count, and reduce
+  each band on its device,
 * dispatches kernel launches through
   :func:`~repro.runtime.sharding.launch_sharded` (one concurrent pass
-  per device) and reductions through
-  :func:`~repro.runtime.sharding.sharded_reduce`.
+  per device).
 
-Capability questions (target limits, fusion launchability, gather
-semantics) delegate to device 0 - the group is homogeneous by
+Everything else - capability questions (target limits, fusion
+launchability, gather semantics) and every stream that lives whole on
+device 0 - delegates to device 0: the group is homogeneous by
 construction.
 """
 
@@ -33,17 +36,11 @@ from ..core import ast_nodes as ast
 from ..core.analysis.resources import TargetLimits
 from ..core.analysis.sharding import ShardPlan
 from ..core.compiler import CompiledKernel
-from ..errors import KernelLaunchError, RuntimeBrookError
+from ..errors import RuntimeBrookError
+from ..runtime.partition import is_sharded, reduce_parts
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
 from ..runtime.shape import StreamShape
-from ..runtime.sharding import (
-    DeviceGroup,
-    ShardedStorage,
-    launch_sharded,
-    shard_stream_shape,
-    sharded_reduce,
-)
-from ..runtime.tiling import TiledStorage
+from ..runtime.sharding import DeviceGroup, launch_sharded
 from .base import Backend, StreamStorage
 
 __all__ = ["ShardedBackend"]
@@ -95,13 +92,18 @@ class ShardedBackend(Backend):
         return self.devices[0]._reduction_quantize()
 
     # ------------------------------------------------------------------ #
-    # DeviceGroup protocol used by launch_sharded
+    # Parts: shard k lives on device k
     # ------------------------------------------------------------------ #
-    def run(self, tasks):
+    def part_backend(self, index: int) -> Backend:
+        return self.devices[index]
+
+    def run_parts(self, tasks):
         return self.group.run(tasks)
 
     # ------------------------------------------------------------------ #
-    # Storage and transfers
+    # Storage and transfers: shards take the base class's part paths;
+    # every other storage - whole, or tiled on one device - lives on
+    # device 0
     # ------------------------------------------------------------------ #
     def create_storage(self, shape: StreamShape, element_width: int,
                        name: str = "") -> StreamStorage:
@@ -109,92 +111,35 @@ class ShardedBackend(Backend):
         if plan.is_trivial:
             # Too small to split: the whole stream lives on device 0.
             return self.devices[0].create_storage(shape, element_width, name)
-        shards = []
-        for shard in plan.shards:
-            shards.append(self.devices[shard.index].create_storage(
-                shard_stream_shape(plan, shard), element_width,
-                f"{name}/shard{shard.index}"))
-        storage = ShardedStorage(shape, element_width, name, plan, shards)
-        self._track_storage(storage)
-        return storage
+        return self._create_parts(shape, element_width, name, plan)
 
     def upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
-        if not isinstance(storage, ShardedStorage):
-            return self.devices[0].upload(storage, data)
-        rows, cols = storage.shape.layout_2d
-        data = np.asarray(data, dtype=np.float32)
-        expected = (rows, cols) if storage.element_width == 1 \
-            else (rows, cols, storage.element_width)
-        if data.shape != expected:
-            raise KernelLaunchError(
-                f"stream {storage.name!r}: cannot write data of shape "
-                f"{data.shape} into a stream of layout {expected}"
-            )
-        plan = storage.plan
-        total_bytes = 0
-        calls = 0
-        for shard, shard_storage in zip(plan.shards, storage.shards):
-            band = plan.slice(data, shard)
-            shard_rows, shard_cols = shard_storage.shape.layout_2d
-            record = self.devices[shard.index].upload(
-                shard_storage,
-                band.reshape((shard_rows, shard_cols) + band.shape[2:]))
-            total_bytes += record.bytes
-            calls += record.calls
-        storage.invalidate_view()
-        return TransferRecord(stream=storage.name, direction="upload",
-                              bytes=total_bytes,
-                              elements=storage.shape.element_count,
-                              calls=calls)
+        if is_sharded(storage):
+            return self._upload_parts(storage, data)
+        return self.devices[0].upload(storage, data)
 
     def download(self, storage: StreamStorage):
-        if not isinstance(storage, ShardedStorage):
-            return self.devices[0].download(storage)
-        plan = storage.plan
-        blocks = []
-        total_bytes = 0
-        calls = 0
-        for shard, shard_storage in zip(plan.shards, storage.shards):
-            band, record = self.devices[shard.index].download(shard_storage)
-            band = np.asarray(band, dtype=np.float32)
-            blocks.append(band.reshape(plan.shard_layout(shard)
-                                       + band.shape[2:]))
-            total_bytes += record.bytes
-            calls += record.calls
-        values = plan.stitch(blocks)
-        record = TransferRecord(stream=storage.name, direction="download",
-                                bytes=total_bytes,
-                                elements=storage.shape.element_count,
-                                calls=calls)
-        return values, record
+        if is_sharded(storage):
+            return self._download_parts(storage)
+        return self.devices[0].download(storage)
 
     def device_view(self, storage: StreamStorage) -> np.ndarray:
-        if not isinstance(storage, ShardedStorage):
-            return self.devices[0].device_view(storage)
-        plan = storage.plan
-
-        def band_view(shard, shard_storage):
-            view = np.asarray(
-                self.devices[shard.index].device_view(shard_storage),
-                dtype=np.float32)
-            return view.reshape(plan.shard_layout(shard) + view.shape[2:])
-
-        return storage.cached_view(lambda: plan.stitch([
-            band_view(shard, shard_storage)
-            for shard, shard_storage in zip(plan.shards, storage.shards)
-        ]))
+        if is_sharded(storage):
+            return self._view_parts(storage)
+        return self.devices[0].device_view(storage)
 
     def free(self, storage: StreamStorage) -> None:
-        if isinstance(storage, ShardedStorage):
-            # Atomic check-and-remove, like the member backends' own
-            # free: a release racing the GC finalizer scatters the
-            # per-device frees exactly once.
-            if self._untrack_storage(storage):
-                for shard, shard_storage in zip(storage.plan.shards,
-                                                storage.shards):
-                    self.devices[shard.index].free(shard_storage)
+        if is_sharded(storage):
+            self._free_parts(storage)
             return
         self.devices[0].free(storage)
+
+    def _store_reduction(self, storage: StreamStorage,
+                         values: np.ndarray) -> None:
+        if is_sharded(storage):
+            super()._store_reduction(storage, values)
+            return
+        self.devices[0]._store_reduction(storage, values)
 
     def device_memory_in_use(self) -> int:
         return sum(device.device_memory_in_use() for device in self.devices)
@@ -203,7 +148,7 @@ class ShardedBackend(Backend):
     # Execution
     # ------------------------------------------------------------------ #
     # prepare_gathers is inherited: the base hook composes this class's
-    # device_view (stitched logical data) and make_gather_source
+    # device_view (joined logical data) and make_gather_source
     # (device 0's flavour), which is exactly what sharded gathers need.
 
     def launch(
@@ -221,13 +166,13 @@ class ShardedBackend(Backend):
         plan = None
         for stream in (*out_args.values(), *stream_args.values()):
             storage = getattr(stream, "storage", None)
-            if isinstance(storage, ShardedStorage):
+            if is_sharded(storage):
                 plan = storage.plan
                 break
         if plan is None:
             # The whole domain lives on device 0 (small streams);
             # prepare the gathers here so sharded gather arrays still
-            # resolve through the stitched logical view.
+            # resolve through the joined logical view.
             if gathers is None:
                 gathers = self.prepare_gathers(gather_args)
             return self.devices[0].launch(
@@ -242,30 +187,9 @@ class ShardedBackend(Backend):
         helpers: Dict[str, ast.FunctionDef],
         input_stream,
     ):
-        if isinstance(input_stream.storage, ShardedStorage):
-            return sharded_reduce(self, kernel, helpers, input_stream)
+        if is_sharded(input_stream.storage):
+            return reduce_parts(self, kernel, helpers, input_stream)
         return self.devices[0].reduce(kernel, helpers, input_stream)
-
-    def _store_reduction_output(self, storage: StreamStorage,
-                                values: np.ndarray) -> None:
-        if not isinstance(storage, ShardedStorage):
-            self.devices[0]._store_reduction_output(storage, values)
-            return
-        plan = storage.plan
-        rows, cols = storage.shape.layout_2d
-        shaped = np.asarray(values, dtype=np.float32).reshape(rows, cols)
-        for shard, shard_storage in zip(plan.shards, storage.shards):
-            if isinstance(shard_storage, TiledStorage):
-                raise KernelLaunchError(
-                    f"reduction output stream {storage.name!r} has a shard "
-                    "that itself exceeds the device texture limit; reduce "
-                    "into a stream whose bands fit one texture each"
-                )
-            band = plan.slice(shaped, shard)
-            shard_rows, shard_cols = shard_storage.shape.layout_2d
-            self.devices[shard.index]._store_reduction_output(
-                shard_storage, band.reshape(shard_rows, shard_cols))
-        storage.invalidate_view()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ShardedBackend {self.name!r} devices={self.device_count}>"

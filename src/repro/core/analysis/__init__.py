@@ -29,8 +29,6 @@ from .dataflow import (
     analyze_decision,
     analyze_pipeline,
     build_dataflow_graph,
-    leaf_storages,
-    storage_units,
 )
 from .loop_bounds import LoopBound, LoopBoundAnalysis, analyze_loop_bounds
 from .memory_usage import MemoryUsageReport, estimate_memory_usage
@@ -63,8 +61,6 @@ __all__ = [
     "analyze_decision",
     "analyze_pipeline",
     "build_dataflow_graph",
-    "leaf_storages",
-    "storage_units",
     "LoopBound",
     "LoopBoundAnalysis",
     "analyze_loop_bounds",

@@ -67,44 +67,19 @@ __all__ = [
     "analyze_decision",
     "analyze_pipeline",
     "build_dataflow_graph",
-    "leaf_storages",
-    "storage_units",
     "streams_alias",
 ]
 
 
 # --------------------------------------------------------------------- #
-# Storage resolution
+# Storage resolution.  The leaf walk lives with the partitioned storage
+# in repro.runtime.partition; like the launch-plan types it is imported
+# where used, because this package loads before the runtime package.
 # --------------------------------------------------------------------- #
-def leaf_storages(stream: object) -> Tuple[object, ...]:
-    """The leaf device storages backing ``stream``.
-
-    A plain stream is backed by one storage; a sharded stream by one
-    storage per device; a tiled stream by one per tile; a sharded stream
-    of tiled bands by the per-tile storages of every band.  This is the
-    ground-truth aliasing unit: two launches conflict exactly when their
-    leaf storage sets (or the NumPy buffers inside them) intersect.
-    """
-    storage = getattr(stream, "storage", None)
-    if storage is None:
-        # Already a storage object (shard/tile recursion).
-        storage = stream
-    parts = getattr(storage, "shards", None) or getattr(storage, "tiles", None)
-    if not parts:
-        return (storage,)
-    leaves: List[object] = []
-    for part in parts:
-        leaves.extend(leaf_storages(part))
-    return tuple(leaves)
-
-
-def storage_units(stream: object) -> Tuple[int, ...]:
-    """Identity keys of ``stream``'s leaf storages (the aliasing units)."""
-    return tuple(id(storage) for storage in leaf_storages(stream))
-
-
 def _buffers(stream: object) -> List[np.ndarray]:
     """The NumPy arrays inside ``stream``'s leaf storages (if any)."""
+    from ...runtime.partition import leaf_storages
+
     arrays = []
     for storage in leaf_storages(stream):
         data = getattr(storage, "data", None)
@@ -121,6 +96,8 @@ def streams_alias(a: object, b: object) -> bool:
     views of one array - aliasing that identity-based hazard keys can
     never see).
     """
+    from ...runtime.partition import storage_units
+
     units_a, units_b = set(storage_units(a)), set(storage_units(b))
     if units_a & units_b:
         return True
@@ -169,12 +146,16 @@ class DataflowNode:
         return merged
 
     def read_units(self) -> Set[int]:
+        from ...runtime.partition import storage_units
+
         units: Set[int] = set()
         for stream in (*self.reads.values(), *self.gathers.values()):
             units.update(storage_units(stream))
         return units
 
     def write_units(self) -> Set[int]:
+        from ...runtime.partition import storage_units
+
         units: Set[int] = set()
         for stream in self.writes.values():
             units.update(storage_units(stream))
@@ -250,19 +231,15 @@ class StreamDependencyGraph:
 
     # ------------------------------------------------------------------ #
     def _tracker_blind_pairs(self) -> List[Tuple[DependencyEdge, str]]:
-        """Conflicting pairs the executor's hazard keying cannot see."""
-        from ...runtime.executor import _hazard_ids
+        """Conflicting pairs the executor's hazard keying cannot see.
 
+        The executor keys its hazard tables on the same leaf storage
+        units as the nodes' read/write units; only the NumPy-buffer
+        aliasing the edges also follow is invisible to it.
+        """
         blind: List[Tuple[DependencyEdge, str]] = []
-        tracker_keys: List[Tuple[Set[int], Set[int]]] = []
-        for node in self.nodes:
-            reads: Set[int] = set()
-            writes: Set[int] = set()
-            for stream in (*node.reads.values(), *node.gathers.values()):
-                reads.update(_hazard_ids(stream))
-            for stream in node.writes.values():
-                writes.update(_hazard_ids(stream))
-            tracker_keys.append((reads, writes))
+        tracker_keys = [(node.read_units(), node.write_units())
+                        for node in self.nodes]
         seen: Set[Tuple[int, int]] = set()
         for edge in self.edges:
             if (edge.src, edge.dst) in seen:
@@ -339,8 +316,9 @@ def _snapshot_guaranteed(plan: object, stream: object) -> bool:
     plain single-device storage has neither guarantee - the backend may
     or may not buffer its outputs before storing them.
     """
-    storage = getattr(stream, "storage", None)
-    if getattr(storage, "shards", None) or getattr(storage, "tiles", None):
+    from ...runtime.partition import PartitionedStorage
+
+    if isinstance(getattr(stream, "storage", None), PartitionedStorage):
         return True
     return getattr(plan, "_tile_plan", None) is not None
 
@@ -363,16 +341,11 @@ def _halo_bounds(definition) -> Dict[str, Tuple[Optional[float],
 
 
 def _tiled_names(streams: Dict[str, object]) -> Tuple[str, ...]:
-    names = []
-    for stream in streams.values():
-        storage = getattr(stream, "storage", None)
-        if getattr(storage, "tiles", None):
-            names.append(stream_name(stream))
-        for shard in getattr(storage, "shards", None) or ():
-            if getattr(shard, "tiles", None):
-                names.append(stream_name(stream))
-                break
-    return tuple(dict.fromkeys(names))
+    from ...runtime.partition import is_tiled
+
+    return tuple(dict.fromkeys(
+        stream_name(stream) for stream in streams.values()
+        if is_tiled(getattr(stream, "storage", None))))
 
 
 def _node_from_plan(index: int, plan: object,

@@ -1,4 +1,13 @@
-"""Tile geometry for streams larger than the device texture limit.
+"""Partition geometry: the part interface, and tiles for oversized streams.
+
+The runtime cuts one logical stream into rectangular parts in two ways:
+into device-sized **tiles** when its layout exceeds the texture limit
+(below), and into per-device **shards** when it is spread over a device
+group (:class:`~repro.core.analysis.sharding.ShardPlan`).  Both plans
+derive from :class:`PartitionPlan`, which owns everything the two cuts
+share: the :class:`PartRect` list, splitting data into per-part blocks,
+joining blocks back, each part's stream shape and its global ``indexof``
+positions.
 
 An OpenGL ES 2.0 stream lives in one 2-D texture, and the texture cannot
 exceed ``GL_MAX_TEXTURE_SIZE`` in either dimension.  Real workloads (an
@@ -17,9 +26,9 @@ the runtime decomposes oversized layouts in two steps:
    Edge tiles are smaller; power-of-two / square padding is applied per
    tile by the normal allocation path.
 
-This module is pure geometry - it knows nothing about streams, textures
-or backends - so both the static memory-usage analysis and the runtime's
-tiled execution engine (:mod:`repro.runtime.tiling`) share one
+This module is pure geometry - it knows nothing about textures or
+backends - so both the static memory-usage analysis and the runtime's
+partitioned storage (:mod:`repro.runtime.partition`) share one
 decomposition and always agree on the allocation.
 """
 
@@ -28,19 +37,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from .memory_usage import padded_texture_extent
 from .resources import TargetLimits
 
-__all__ = ["TileRect", "folded_layout", "tile_grid", "tiled_texture_bytes"]
+__all__ = ["PartRect", "PartitionPlan", "folded_layout", "tile_grid",
+           "tiled_texture_bytes"]
 
 
 @dataclass(frozen=True)
-class TileRect:
-    """One rectangular tile of a folded 2-D layout.
+class PartRect:
+    """One rectangular part (a tile or a shard band) of a 2-D layout.
 
-    ``row0``/``col0`` locate the tile inside the folded layout;
-    ``rows``/``cols`` are its live extent (edge tiles are smaller than
-    the interior ones).
+    ``row0``/``col0`` locate the part inside the layout it was cut from;
+    ``rows``/``cols`` are its extent (edge tiles and the last bands may
+    be smaller than the others).
     """
 
     index: int
@@ -52,6 +64,90 @@ class TileRect:
     @property
     def element_count(self) -> int:
         return self.rows * self.cols
+
+
+class PartitionPlan:
+    """A logical 2-D layout cut into rectangular parts.
+
+    Subclasses set ``layout`` (the logical layout), ``folded`` (the
+    layout the parts are cut from: ``layout`` itself unless a 1-D stream
+    was folded into rows) and ``parts`` (row-major).  A plan is a pure
+    function of its inputs, so two streams of one shape share one
+    decomposition and per-part launches pair the n-th part of every
+    argument.  ``part`` names one part in storage and view names;
+    ``kind`` names the decomposition in error messages.
+    """
+
+    part = "part"
+    kind = "partitioned"
+
+    layout: Tuple[int, int]
+    folded: Tuple[int, int]
+    parts: List[PartRect]
+
+    @property
+    def part_count(self) -> int:
+        return len(self.parts)
+
+    @property
+    def is_trivial(self) -> bool:
+        """Whether the ordinary single-storage path suffices.
+
+        A folded single-part plan is *not* trivial: the data layout in
+        the storage differs from the logical one.
+        """
+        return len(self.parts) == 1 and self.folded == self.layout
+
+    @property
+    def geometry(self) -> tuple:
+        """Hashable identity of the decomposition (for layout matching)."""
+        return (type(self), self.layout, self.folded, tuple(self.parts))
+
+    # ------------------------------------------------------------------ #
+    # ndarray helpers (all layouts are row-major, so fold == reshape).  A
+    # trailing component axis (vector element types) is preserved.
+    # ------------------------------------------------------------------ #
+    def split(self, data: np.ndarray) -> List[np.ndarray]:
+        """Cut logical-layout data into per-part blocks (views)."""
+        data = np.asarray(data)
+        folded = data.reshape(self.folded + data.shape[2:])
+        return [folded[p.row0:p.row0 + p.rows, p.col0:p.col0 + p.cols]
+                for p in self.parts]
+
+    def join(self, blocks) -> np.ndarray:
+        """Reassemble per-part blocks into the logical layout."""
+        blocks = [np.asarray(block) for block in blocks]
+        trailing = blocks[0].shape[2:]
+        folded = np.zeros(self.folded + trailing, dtype=np.float32)
+        for p, block in zip(self.parts, blocks):
+            folded[p.row0:p.row0 + p.rows, p.col0:p.col0 + p.cols] = \
+                block.reshape((p.rows, p.cols) + trailing)
+        return folded.reshape(self.layout + trailing)
+
+    def part_shape(self, part: PartRect):
+        """The stream shape of one part (its launch domain)."""
+        from ...runtime.shape import StreamShape
+
+        return StreamShape((part.rows, part.cols))
+
+    def index_positions(self, part: PartRect) -> np.ndarray:
+        """Global ``indexof`` positions of one part's elements.
+
+        Kernels observe positions in the *logical* 2-D layout (a 1-D
+        stream yields ``(i, 0)`` however it is folded or cut), so a
+        partitioned launch is bit-identical to a single-storage one.
+        """
+        ys, xs = np.mgrid[0:part.rows, 0:part.cols]
+        linear = (part.row0 + ys).astype(np.int64) * self.folded[1] \
+            + (part.col0 + xs)
+        cols = self.layout[1]
+        return np.stack([(linear % cols).reshape(-1),
+                         (linear // cols).reshape(-1)],
+                        axis=1).astype(np.float32)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<{type(self).__name__} layout={self.layout} "
+                f"folded={self.folded} parts={self.part_count}>")
 
 
 def _largest_divisor_up_to(value: int, bound: int) -> int:
@@ -89,7 +185,7 @@ def folded_layout(layout: Tuple[int, int], limits: TargetLimits) -> Tuple[int, i
     return (cols // width, width)
 
 
-def tile_grid(layout: Tuple[int, int], limits: TargetLimits) -> List[TileRect]:
+def tile_grid(layout: Tuple[int, int], limits: TargetLimits) -> List[PartRect]:
     """Partition a (folded) layout into device-sized tiles, row-major.
 
     Returns a single full-extent tile when the layout already fits the
@@ -99,11 +195,11 @@ def tile_grid(layout: Tuple[int, int], limits: TargetLimits) -> List[TileRect]:
     """
     rows, cols = layout
     step = int(limits.max_texture_size)
-    tiles: List[TileRect] = []
+    tiles: List[PartRect] = []
     index = 0
     for row0 in range(0, rows, step):
         for col0 in range(0, cols, step):
-            tiles.append(TileRect(
+            tiles.append(PartRect(
                 index=index,
                 row0=row0,
                 col0=col0,

@@ -417,7 +417,7 @@ def _tile_count(shape, limits: Optional[TargetLimits]) -> int:
     if limits is None:
         return 1
     from ...runtime.tiling import TilePlan
-    return TilePlan.for_shape(shape, limits).tile_count
+    return TilePlan(shape, limits).part_count
 
 
 def _add_map_launch(work: _WorkBound, kw: KernelWCET, elements: int,
@@ -511,7 +511,7 @@ def _plan_into(work: _WorkBound, plan, devices: int,
         domain = plan._domain
         tiles = _tile_count(domain, limits)
         if plan._tile_plan is not None:
-            tiles = max(tiles, plan._tile_plan.tile_count)
+            tiles = max(tiles, plan._tile_plan.part_count)
         for (piece, _args), members in zip(plan._pieces, plan._members):
             kw = piece_wcet(members)
             _add_map_launch(work, kw, domain.element_count, tiles, devices)

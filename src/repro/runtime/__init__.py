@@ -37,9 +37,10 @@ from .reduction import ReductionResult, multipass_reduce
 from .runtime import BrookModule, BrookRuntime
 from .sanitizer import BrookSanitizer, SanitizerFinding
 from .shape import StreamShape
-from .sharding import HaloGatherSource, ShardedStorage
+from .partition import PartitionedStorage
+from .sharding import HaloGatherSource
 from .stream import Stream
-from .tiling import TilePlan, TiledStorage
+from .tiling import TilePlan
 
 __all__ = [
     "BrookRuntime",
@@ -56,8 +57,7 @@ __all__ = [
     "BrookSanitizer",
     "SanitizerFinding",
     "TilePlan",
-    "TiledStorage",
-    "ShardedStorage",
+    "PartitionedStorage",
     "HaloGatherSource",
     "KernelLaunchRecord",
     "TransferRecord",

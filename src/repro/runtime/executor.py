@@ -28,6 +28,11 @@ submissions; **stream-level hazard tracking** decides the order:
   write-after-read hazards),
 * submissions with disjoint stream sets run concurrently.
 
+A stream is tracked by its *leaf* device storages
+(:func:`~repro.runtime.partition.storage_units`): one per shard or tile
+of a partitioned stream, so partial-stream work serializes only against
+the storages it touches, and two handles over one storage collide.
+
 Conflicting launches therefore execute in **submission order**, which
 makes the results bit-identical to calling ``plan.launch()`` serially in
 the same order - concurrency never changes what a pipeline computes.
@@ -46,6 +51,7 @@ from typing import Dict, List, Optional, Set
 
 from ..errors import KernelLaunchError, RuntimeBrookError
 from .launch import FusedPipeline, LaunchPlan
+from .partition import storage_units
 
 __all__ = ["AsyncExecutor", "LaunchFuture"]
 
@@ -118,36 +124,6 @@ class _Task:
         self.audit_index = -1
 
 
-def _hazard_ids(stream: object) -> "tuple[int, ...]":
-    """Hazard-table keys of one stream: its *leaf* device storages.
-
-    On a sharded runtime a stream is backed by one storage per device
-    (each of which may itself be tiled); tracking each leaf storage as
-    its own hazard unit keeps the tables at shard/tile granularity, so
-    future partial-stream work (per-band reductions, shard-local
-    pipelines) serializes only against the storages it actually touches.
-    Whole-stream launches conflict on every leaf, which degenerates to
-    exactly the stream-level behaviour.
-
-    The keys are storage identities, never wrapper identities: two
-    ``Stream`` handles over the same device storage - or a plain stream
-    aliasing one band of a ``ShardedStorage`` - must collide in the
-    hazard tables, otherwise conflicting launches through the two
-    wrappers would legally overlap and race.
-    """
-    storage = getattr(stream, "storage", None)
-    if storage is None:
-        # Shard/tile recursion: already a storage object.
-        storage = stream
-    parts = getattr(storage, "shards", None) or getattr(storage, "tiles", None)
-    if parts:
-        ids: List[int] = []
-        for part in parts:
-            ids.extend(_hazard_ids(part))
-        return tuple(ids)
-    return (id(storage),)
-
-
 def _collect_hazards(plan: object, reads: Set[int], writes: Set[int]) -> None:
     """Fill ``reads``/``writes`` with the hazard units ``plan`` touches."""
     if isinstance(plan, FusedPipeline):
@@ -156,25 +132,25 @@ def _collect_hazards(plan: object, reads: Set[int], writes: Set[int]) -> None:
         return
     if isinstance(plan, LaunchPlan):
         if plan.is_reduction:
-            reads.update(_hazard_ids(plan._reduce_input))
+            reads.update(storage_units(plan._reduce_input))
             accumulator = plan._accumulator
             if accumulator is not None:
                 # The runtime reads partial-reduction accumulators back
                 # after writing them, so they count as both.
-                reads.update(_hazard_ids(accumulator))
-                writes.update(_hazard_ids(accumulator))
+                reads.update(storage_units(accumulator))
+                writes.update(storage_units(accumulator))
             return
         for _, (stream_args, gather_args, _, out_args) in plan._pieces:
             for stream in (*stream_args.values(), *gather_args.values()):
-                reads.update(_hazard_ids(stream))
+                reads.update(storage_units(stream))
             for stream in out_args.values():
-                writes.update(_hazard_ids(stream))
+                writes.update(storage_units(stream))
         return
     # Unknown plan-like object: be conservative and treat every bound
     # stream as read *and* written (full serialization against overlaps).
     for stream in getattr(plan, "_bound_streams", ()):
-        reads.update(_hazard_ids(stream))
-        writes.update(_hazard_ids(stream))
+        reads.update(storage_units(stream))
+        writes.update(storage_units(stream))
 
 
 class AsyncExecutor:

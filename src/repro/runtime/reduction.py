@@ -28,8 +28,10 @@ import numpy as np
 from ..core import ast_nodes as ast
 from ..core.exec.evaluator import KernelEvaluator
 from ..errors import KernelLaunchError
+from .profiling import KernelLaunchRecord
 
-__all__ = ["ReductionResult", "multipass_reduce", "partial_reduce"]
+__all__ = ["ReductionResult", "multipass_reduce", "partial_reduce",
+           "reduction_record"]
 
 
 @dataclass
@@ -215,4 +217,18 @@ def partial_reduce(
         elements_processed=in_rows * in_cols,
         flops=flops,
         texture_fetches=(folds + 1) * out_count,
+    )
+
+
+def reduction_record(kernel_name: str, result, tiles: int = 1
+                     ) -> KernelLaunchRecord:
+    """The launch record of one full or partial reduction result."""
+    return KernelLaunchRecord(
+        kernel=kernel_name,
+        elements=result.elements_processed,
+        flops=result.flops,
+        texture_fetches=result.texture_fetches,
+        passes=result.passes,
+        reduction=True,
+        tiles=tiles,
     )

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import SanitizerError, SourceLocation
+from .partition import leaf_storages, storage_units
 
 __all__ = ["BrookSanitizer", "SanitizerFinding"]
 
@@ -166,8 +167,6 @@ class BrookSanitizer:
     # Stream hooks
     # ------------------------------------------------------------------ #
     def note_host_write(self, stream: object) -> None:
-        from ..core.analysis.dataflow import storage_units
-
         with self._lock:
             self._initialized.update(storage_units(stream))
             # Host data replaces whatever was tainted there.
@@ -244,8 +243,6 @@ class BrookSanitizer:
 
     def before_launch(self, plan: object) -> None:
         """Check initialization state of every input the launch reads."""
-        from ..core.analysis.dataflow import storage_units
-
         reads, _ = self._plan_accesses(plan)
         kernel = getattr(plan, "kernel_name", "")
         with self._lock:
@@ -263,8 +260,6 @@ class BrookSanitizer:
 
     def after_launch(self, plan: object) -> None:
         """Mark outputs initialized and track NaN/Inf origins."""
-        from ..core.analysis.dataflow import storage_units
-
         reads, writes = self._plan_accesses(plan)
         kernel = getattr(plan, "kernel_name", "")
         location = self._plan_location(plan)
@@ -324,8 +319,7 @@ class BrookSanitizer:
         A FusedPipeline submission is one scheduling unit: the union of
         its segments.
         """
-        from ..core.analysis.dataflow import build_dataflow_graph, \
-            leaf_storages
+        from ..core.analysis.dataflow import build_dataflow_graph
 
         def info(streams):
             units: Set[int] = set()

@@ -3,8 +3,9 @@
 The tiled engine (:mod:`repro.runtime.tiling`) lets a stream exceed one
 device's texture limit; this module lets a *launch* exceed one device.
 A runtime opened as ``BrookRuntime(backend=..., devices=N)`` backs every
-stream with a :class:`ShardedStorage` - one per-device storage per band
-of the :class:`~repro.core.analysis.sharding.ShardPlan` - and executes
+stream with a :class:`~repro.runtime.partition.PartitionedStorage` - one
+per-device storage per band of the
+:class:`~repro.core.analysis.sharding.ShardPlan` - and executes
 each kernel as ``N`` concurrent per-shard passes, one per device,
 through a :class:`DeviceGroup` worker pool:
 
@@ -22,17 +23,18 @@ through a :class:`DeviceGroup` worker pool:
   ``launch_tiled``'s single ``prepare_gathers`` call, which is what
   keeps in-place launches (gather source == output stream) bit-identical
   to a single-device pass.
-* **Reductions** mirror ``tiled_reduce``: each device reduces its band
-  with the normal multipass engine and the per-device partials are
-  folded with the same kernel (:func:`sharded_reduce`).
 * A shard that still exceeds its device's texture limit is **tiled
-  transparently**: the per-device storage is an ordinary
-  :class:`~repro.runtime.tiling.TiledStorage` and the shard pass runs
-  through :func:`~repro.runtime.tiling.launch_tiled` with the shard's
-  origin folded into the global index map (shard+tile composition).
+  transparently**: the per-device storage is itself a tiled
+  :class:`~repro.runtime.partition.PartitionedStorage` and the shard
+  pass runs through :func:`~repro.runtime.tiling.launch_tiled` with the
+  shard's origin folded into the global index map (shard+tile
+  composition).
 
-The per-shard launch records are aggregated into a single record
-carrying ``shards=N`` and the halo/replication traffic in bytes, which
+Storage, transfers, per-part views, record merging and reductions are
+the partition paths shared with tiles (:mod:`repro.runtime.partition`);
+this module keeps only what is particular to a device group.  The
+per-shard launch records merge into a single record carrying
+``shards=N`` and the halo/replication traffic in bytes, which
 :class:`~repro.timing.gpu_model.GPUModel` prices with its sharding
 overhead terms.
 """
@@ -45,106 +47,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.analysis.sharding import (
-    ArgumentClass,
-    ShardPlan,
-    ShardSlice,
-    classify_kernel,
-)
+from ..core.analysis.sharding import ArgumentClass, ShardPlan, classify_kernel
+from ..core.analysis.tiling import PartRect
 from ..core.exec.gather import GatherSource
-from ..errors import KernelLaunchError, StreamError
+from ..errors import StreamError
+from .partition import (PartitionedStorage, is_sharded, merge_part_records,
+                        part_views)
 from .profiling import KernelLaunchRecord
-from .reduction import multipass_reduce
 from .shape import StreamShape
-from .tiling import TiledStorage, launch_tiled, tiled_reduce
+from .tiling import launch_tile_plan, launch_tiled
 
-__all__ = ["ShardedStorage", "HaloGatherSource", "DeviceGroup",
-           "launch_sharded", "sharded_reduce", "shard_stream_shape"]
-
-
-def shard_stream_shape(plan: ShardPlan, shard: ShardSlice) -> StreamShape:
-    """The logical stream shape of one shard's band.
-
-    Column bands of a 1-D stream stay 1-D so the owning device may fold
-    or tile them exactly as it would a standalone stream of that size.
-    """
-    if plan.axis == "cols":
-        return StreamShape((shard.cols,))
-    return StreamShape((shard.rows, shard.cols))
-
-
-class ShardedStorage:
-    """One logical stream backed by one storage per device.
-
-    Implements the :class:`~repro.backends.base.StreamStorage` protocol
-    (``shape`` / ``element_width`` / ``name``) without inheriting from
-    it, like :class:`~repro.runtime.tiling.TiledStorage` does.
-    ``shards[k]`` is an ordinary storage owned by device ``k`` - a
-    single texture/resource/array, or a :class:`TiledStorage` when the
-    band exceeds that device's own limit.
-    """
-
-    def __init__(self, shape: StreamShape, element_width: int, name: str,
-                 plan: ShardPlan, shards: List[object]):
-        self.shape = shape
-        self.element_width = element_width
-        self.name = name
-        self.plan = plan
-        self.shards = shards
-        self._stitched_view: Optional[np.ndarray] = None
-        self._view_lock = threading.Lock()
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    # ------------------------------------------------------------------ #
-    def cached_view(self, build) -> np.ndarray:
-        """Memoised stitched logical view (see ``Backend.device_view``).
-
-        Stitching reads every device; gathers during a sharded launch
-        would otherwise redo that once per shard pass.  Every write path
-        (upload, shard launch outputs, reduction stores) calls
-        :meth:`invalidate_view`; the memo is built under a lock so
-        concurrent readers share one stitch.
-        """
-        with self._view_lock:
-            if self._stitched_view is None:
-                self._stitched_view = build()
-            return self._stitched_view
-
-    def invalidate_view(self) -> None:
-        with self._view_lock:
-            self._stitched_view = None
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(shard.size_bytes for shard in self.shards)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ShardedStorage {self.name!r} {self.shape} "
-                f"shards={self.shard_count}>")
-
-
-class _ShardStreamView:
-    """Stream-shaped view of one shard, handed to the device backend.
-
-    Quacks like :class:`~repro.runtime.stream.Stream` as far as the
-    backends care (``storage`` / ``shape`` / ``element_width`` /
-    ``name``), with the shard's own storage and band shape.
-    """
-
-    __slots__ = ("storage", "shape", "element_width", "name")
-
-    def __init__(self, stream, storage, shape: StreamShape, shard_index: int):
-        self.storage = storage
-        self.shape = shape
-        self.element_width = stream.element_width
-        self.name = f"{stream.name}[shard {shard_index}]"
-
-    @property
-    def element_count(self) -> int:
-        return self.shape.element_count
+__all__ = ["HaloGatherSource", "DeviceGroup", "launch_sharded"]
 
 
 class HaloGatherSource(GatherSource):
@@ -267,21 +180,6 @@ class DeviceGroup:
 # --------------------------------------------------------------------------- #
 # Launch
 # --------------------------------------------------------------------------- #
-def _shard_view(stream, plan: ShardPlan, shard: ShardSlice,
-                shard_shape: StreamShape, what: str) -> _ShardStreamView:
-    storage = getattr(stream, "storage", None)
-    if not isinstance(storage, ShardedStorage) or \
-            storage.plan.geometry != plan.geometry:
-        raise KernelLaunchError(
-            f"{what} stream {stream.name!r} of shape "
-            f"{tuple(stream.shape.dims)} does not share the shard layout of "
-            f"the launch domain {plan.layout}; sharded launches need every "
-            "positional stream argument to have the domain's shape"
-        )
-    return _ShardStreamView(stream, storage.shards[shard.index], shard_shape,
-                            shard.index)
-
-
 def _gather_mode(arg: Optional[ArgumentClass], plan: ShardPlan,
                  storage: object,
                  scalar_args: Dict[str, float]) -> Tuple[str, int]:
@@ -294,7 +192,7 @@ def _gather_mode(arg: Optional[ArgumentClass], plan: ShardPlan,
     """
     if arg is None or arg.mode != "halo":
         return ("whole", 0)
-    if not isinstance(storage, ShardedStorage) or \
+    if not isinstance(storage, PartitionedStorage) or \
             storage.plan.geometry != plan.geometry:
         return ("whole", 0)
     access = arg.axis_access(plan.axis)
@@ -308,27 +206,27 @@ def _gather_mode(arg: Optional[ArgumentClass], plan: ShardPlan,
     return ("halo", int(access.bound))
 
 
-def _band_slice(group, storage: ShardedStorage, lo: int, hi: int,
+def _band_slice(group, storage: PartitionedStorage, lo: int, hi: int,
                 axis: str) -> np.ndarray:
     """Materialise rows/columns ``[lo, hi)`` from the owning shards only.
 
-    Avoids stitching (and, on RGBA8 backends, decoding) the whole
+    Avoids joining (and, on RGBA8 backends, decoding) the whole
     logical array when a launch only needs each device's band plus a
     thin halo; ``np.concatenate`` always allocates, so the returned
     band is a private snapshot of the pre-launch data.
     """
     plan = storage.plan
     pieces = []
-    for shard, shard_storage in zip(plan.shards, storage.shards):
+    for shard, shard_storage in zip(plan.parts, storage.parts):
         start = shard.row0 if axis == "rows" else shard.col0
         stop = start + (shard.rows if axis == "rows" else shard.cols)
         overlap_lo, overlap_hi = max(lo, start), min(hi, stop)
         if overlap_lo >= overlap_hi:
             continue
         view = np.asarray(
-            group.devices[shard.index].device_view(shard_storage),
+            group.part_backend(shard.index).device_view(shard_storage),
             dtype=np.float32)
-        view = view.reshape(plan.shard_layout(shard) + view.shape[2:])
+        view = view.reshape((shard.rows, shard.cols) + view.shape[2:])
         if axis == "rows":
             pieces.append(view[overlap_lo - start:overlap_hi - start])
         else:
@@ -351,7 +249,7 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
     spec = classify_kernel(kernel.definition)
     out_storages = {id(getattr(stream, "storage", None))
                     for stream in out_args.values()}
-    sources: List[Dict[str, GatherSource]] = [dict() for _ in plan.shards]
+    sources: List[Dict[str, GatherSource]] = [dict() for _ in plan.parts]
     halo_bytes = 0
     for name, stream in gather_args.items():
         storage = stream.storage
@@ -362,9 +260,9 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
         if mode == "halo":
             # Each device materialises only its band plus the halo, cut
             # straight from the owning shards' device views - never the
-            # full stitched array.  The concatenated band is a private
+            # full joined array.  The concatenated band is a private
             # pre-launch snapshot, so in-place launches stay correct.
-            for shard in plan.shards:
+            for shard in plan.parts:
                 lo, hi = plan.halo_band(shard, halo)
                 band = _band_slice(group, storage, lo, hi, plan.axis)
                 if plan.axis == "rows":
@@ -392,46 +290,20 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
             data = data.copy()
         if data.ndim == 1:
             data = data.reshape(1, -1)
-        for shard in plan.shards:
+        for shard in plan.parts:
             # Replicated in full: every device fetches the bands it
             # does not own.  A sharded array leaves each device its
             # own band; an unsharded one already lives on device 0.
             local = 0
-            if isinstance(storage, ShardedStorage):
-                if shard.index < storage.plan.shard_count:
-                    local = storage.plan.shards[shard.index].element_count
+            if is_sharded(storage):
+                if shard.index < storage.plan.part_count:
+                    local = storage.plan.parts[shard.index].element_count
             elif shard.index == 0:
                 local = data.shape[0] * data.shape[1]
             halo_bytes += (data.shape[0] * data.shape[1] - local) \
                 * element_bytes
             sources[shard.index][name] = group.make_gather_source(data)
     return sources, halo_bytes
-
-
-def aggregate_shard_records(records: List[KernelLaunchRecord],
-                            shard_count: int,
-                            halo_bytes: int) -> KernelLaunchRecord:
-    """Merge per-shard launch records into one record with ``shards=N``.
-
-    ``tiles`` is folded so that the aggregate's ``tiles - 1`` equals the
-    total number of *within-device* tile switches (``sum(tiles_k - 1)``)
-    - crossing from one shard to the next is priced by the sharding
-    overhead, not the tiling one.
-    """
-    return KernelLaunchRecord(
-        kernel=records[0].kernel,
-        elements=sum(r.elements for r in records),
-        flops=sum(r.flops for r in records),
-        texture_fetches=sum(r.texture_fetches for r in records),
-        passes=sum(r.passes for r in records),
-        reduction=any(r.reduction for r in records),
-        fused=max(r.fused for r in records),
-        saved_intermediate_bytes=sum(r.saved_intermediate_bytes
-                                     for r in records),
-        tiles=sum(r.tiles for r in records) - (shard_count - 1),
-        shards=shard_count,
-        halo_bytes=halo_bytes,
-    )
 
 
 def launch_sharded(
@@ -447,137 +319,47 @@ def launch_sharded(
 ) -> KernelLaunchRecord:
     """Run one kernel over ``domain`` as one concurrent pass per device.
 
-    ``group`` is the owning device group / sharded backend (it supplies
-    ``devices``, ``run``, ``device_view``, ``make_gather_source`` and
-    ``gather_clamps``).  Returns the aggregated launch record
-    (``shards=N``, halo traffic included).
+    ``group`` is the owning sharded backend (it supplies
+    ``part_backend``, ``run_parts``, ``device_view``,
+    ``make_gather_source`` and ``gather_clamps``).  Returns the merged
+    launch record (``shards=N``, halo traffic included).
     """
     gather_sources, halo_bytes = _prepare_shard_gathers(
         group, plan, kernel, gather_args, scalar_args, out_args)
 
-    def run_shard(shard: ShardSlice):
-        device = group.devices[shard.index]
-        shard_shape = shard_stream_shape(plan, shard)
-        shard_streams = {
-            name: _shard_view(stream, plan, shard, shard_shape, "input")
-            for name, stream in stream_args.items()
-        }
-        shard_outs = {
-            name: _shard_view(stream, plan, shard, shard_shape, "output")
-            for name, stream in out_args.items()
-        }
+    def run_shard(shard: PartRect):
+        device = group.part_backend(shard.index)
+        shard_shape = plan.part_shape(shard)
+        shard_streams = part_views(stream_args, plan, shard, shard_shape)
+        shard_outs = part_views(out_args, plan, shard, shard_shape)
         gathers = gather_sources[shard.index]
-        tiled = next(
-            (view.storage for view in (*shard_outs.values(),
-                                       *shard_streams.values())
-             if isinstance(view.storage, TiledStorage)), None)
-        if tiled is not None:
+        tile_plan = launch_tile_plan(shard_streams, shard_outs)
+        if tile_plan is not None:
             # The shard's band exceeds its own device's texture limit:
             # run the normal tile engine inside the shard, shifting the
             # tile index map by the shard's origin so ``indexof`` stays
             # global (shard+tile composition).
             return launch_tiled(
-                device, kernel, helpers, shard_shape, tiled.plan,
+                device, kernel, helpers, shard_shape, tile_plan,
                 shard_streams, gather_args, scalar_args, shard_outs,
                 gathers=gathers, origin=(shard.col0, shard.row0),
             )
         return device.launch(
             kernel, helpers, shard_shape,
             shard_streams, gather_args, scalar_args, shard_outs,
-            index_map=plan.shard_index_positions(shard),
+            index_map=plan.index_positions(shard),
             gathers=gathers,
         )
 
     try:
-        records = group.run([
-            (lambda s=shard: run_shard(s)) for shard in plan.shards
+        records = group.run_parts([
+            (lambda s=shard: run_shard(s)) for shard in plan.parts
         ])
     finally:
         # The shard passes wrote the per-device storages behind the
-        # logical storages' backs; drop any memoised stitched views.
+        # logical storages' backs; drop any memoised joined views.
         for stream in out_args.values():
             storage = getattr(stream, "storage", None)
-            if isinstance(storage, ShardedStorage):
+            if isinstance(storage, PartitionedStorage):
                 storage.invalidate_view()
-    return aggregate_shard_records(records, plan.shard_count, halo_bytes)
-
-
-# --------------------------------------------------------------------------- #
-# Reductions
-# --------------------------------------------------------------------------- #
-def sharded_reduce(group, kernel, helpers, input_stream
-                   ) -> "tuple[float, KernelLaunchRecord]":
-    """Reduce a sharded stream: per-device partials, then combine.
-
-    Each device reduces its own band with the normal multipass engine
-    (through :func:`~repro.runtime.tiling.tiled_reduce` when the band is
-    itself tiled) and the per-device partial values are folded with the
-    *same* reduce kernel, mirroring ``tiled_reduce`` one level up.  The
-    per-device storage model (RGBA8 round trips on OpenGL ES 2) applies
-    between the passes of every stage, exactly as on one device.
-
-    Like a tiled reduction, the partial-then-combine structure
-    reassociates the operator: exactly associative reductions
-    (``min``/``max``, integer-valued sums) are bit-identical to
-    ``devices=1``; general floating-point sums can differ by the usual
-    reassociation ULPs (Brook requires reduction operators to be
-    associative, so any such difference is within the language
-    contract).
-    """
-    storage: ShardedStorage = input_stream.storage
-    plan = storage.plan
-
-    def reduce_shard(shard: ShardSlice):
-        device = group.devices[shard.index]
-        shard_storage = storage.shards[shard.index]
-        if isinstance(shard_storage, TiledStorage):
-            view = _ShardStreamView(input_stream, shard_storage,
-                                    shard_stream_shape(plan, shard),
-                                    shard.index)
-            value, record = tiled_reduce(device, kernel, helpers, view)
-            return (value, record.passes, record.elements, record.flops,
-                    record.texture_fetches, record.tiles)
-        data = device.device_view(shard_storage)
-        result = multipass_reduce(
-            kernel.definition, helpers, np.asarray(data, dtype=np.float32),
-            quantize=device._reduction_quantize(),
-        )
-        return (result.value, result.passes, result.elements_processed,
-                result.flops, result.texture_fetches, 1)
-
-    results = group.run([
-        (lambda s=shard: reduce_shard(s)) for shard in plan.shards
-    ])
-    partials = [r[0] for r in results]
-    passes = sum(r[1] for r in results)
-    elements = sum(r[2] for r in results)
-    flops = sum(r[3] for r in results)
-    fetches = sum(r[4] for r in results)
-    tiles = sum(r[5] for r in results) - (plan.shard_count - 1)
-
-    value = partials[0]
-    if len(partials) > 1:
-        # The partials travel to one device (halo traffic: one value per
-        # remote shard) and fold there with the same kernel.
-        combine = multipass_reduce(
-            kernel.definition, helpers,
-            np.asarray(partials, dtype=np.float32).reshape(1, -1),
-            quantize=group.devices[0]._reduction_quantize(),
-        )
-        value = combine.value
-        passes += combine.passes
-        elements += combine.elements_processed
-        flops += combine.flops
-        fetches += combine.texture_fetches
-    record = KernelLaunchRecord(
-        kernel=kernel.name,
-        elements=elements,
-        flops=flops,
-        texture_fetches=fetches,
-        passes=passes,
-        reduction=True,
-        tiles=tiles,
-        shards=plan.shard_count,
-        halo_bytes=(plan.shard_count - 1) * 4,
-    )
-    return value, record
+    return merge_part_records(records, plan.part_count, halo_bytes)

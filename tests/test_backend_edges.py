@@ -66,11 +66,11 @@ class TestGLES2BackendEdges:
         """A stream exceeding GL_MAX_TEXTURE_SIZE used to raise at
         allocation; the tiled execution engine now backs it with one
         texture per device-sized tile."""
-        from repro.runtime.tiling import TiledStorage
+        from repro.runtime.partition import PartitionedStorage
         stream = gles2_runtime.stream((4096, 4096))
-        assert isinstance(stream.storage, TiledStorage)
-        assert stream.storage.tile_count == 4
-        for tile_storage in stream.storage.tiles:
+        assert isinstance(stream.storage, PartitionedStorage)
+        assert len(stream.storage.parts) == 4
+        for tile_storage in stream.storage.parts:
             assert tile_storage.texture.width <= 2048
             assert tile_storage.texture.height <= 2048
 

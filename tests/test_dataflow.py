@@ -15,12 +15,11 @@ import pytest
 from repro.core.analysis.dataflow import (
     analyze_pipeline,
     build_dataflow_graph,
-    leaf_storages,
-    storage_units,
     streams_alias,
 )
 from repro.core.analysis.lint.sarif import sarif_json
 from repro.runtime import BrookRuntime
+from repro.runtime.partition import leaf_storages, storage_units
 
 PIPELINE_SOURCE = """
 kernel void scale(float x<>, float k, out float y<>) {
@@ -103,9 +102,9 @@ class TestStorageResolution:
         try:
             stream = runtime.stream((8, 8))
             leaves = leaf_storages(stream)
-            assert len(leaves) == len(stream.storage.shards)
+            assert len(leaves) == len(stream.storage.parts)
             band = runtime.stream((4, 8))
-            band.storage = stream.storage.shards[0]
+            band.storage = stream.storage.parts[0]
             assert streams_alias(band, stream)
         finally:
             runtime.close()

@@ -25,7 +25,7 @@ from repro.core.compiler import BrookAutoCompiler, CompilerOptions
 from repro.errors import RuntimeBrookError, StreamError
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
-from repro.runtime import BrookRuntime, HaloGatherSource, ShardedStorage
+from repro.runtime import BrookRuntime, HaloGatherSource, PartitionedStorage
 from repro.runtime.profiling import KernelLaunchRecord, RunStatistics
 from repro.timing.gpu_model import GPUCostParameters, GPUModel, GPUWorkload
 
@@ -83,20 +83,20 @@ class TestShardGeometry:
     def test_row_bands_balanced_to_one_row(self):
         plan = ShardPlan((10, 7), 4)
         assert plan.axis == "rows"
-        assert [(s.row0, s.rows) for s in plan.shards] == \
+        assert [(s.row0, s.rows) for s in plan.parts] == \
             [(0, 3), (3, 3), (6, 2), (8, 2)]
-        assert all(s.cols == 7 and s.col0 == 0 for s in plan.shards)
-        assert sum(s.element_count for s in plan.shards) == 70
+        assert all(s.cols == 7 and s.col0 == 0 for s in plan.parts)
+        assert sum(s.element_count for s in plan.parts) == 70
 
     def test_one_row_layouts_shard_along_columns(self):
         plan = ShardPlan((1, 10), 4)
         assert plan.axis == "cols"
-        assert [(s.col0, s.cols) for s in plan.shards] == \
+        assert [(s.col0, s.cols) for s in plan.parts] == \
             [(0, 3), (3, 3), (6, 2), (8, 2)]
 
     def test_fewer_bands_than_devices(self):
-        assert ShardPlan((2, 5), 4).shard_count == 2
-        assert ShardPlan((1, 3), 8).shard_count == 3
+        assert ShardPlan((2, 5), 4).part_count == 2
+        assert ShardPlan((1, 3), 8).part_count == 3
         assert ShardPlan((1, 1), 4).is_trivial
 
     def test_geometry_is_a_pure_function_of_layout_and_count(self):
@@ -107,20 +107,20 @@ class TestShardGeometry:
         plan = ShardPlan((11, 6), 4)
         data = np.arange(66, dtype=np.float32).reshape(11, 6)
         np.testing.assert_array_equal(
-            plan.stitch([plan.slice(data, s) for s in plan.shards]), data)
+            plan.join(plan.split(data)), data)
 
     def test_index_positions_are_global(self):
         plan = ShardPlan((6, 3), 3)
-        positions = plan.shard_index_positions(plan.shards[1])
+        positions = plan.index_positions(plan.parts[1])
         assert positions.shape == (6, 2)
         assert positions[0].tolist() == [0.0, 2.0]   # (x, y) of row 2, col 0
         assert positions[-1].tolist() == [2.0, 3.0]
 
     def test_halo_band_clips_at_the_edges(self):
         plan = ShardPlan((12, 4), 3)
-        assert plan.halo_band(plan.shards[0], 2) == (0, 6)
-        assert plan.halo_band(plan.shards[1], 2) == (2, 10)
-        assert plan.halo_band(plan.shards[2], 2) == (6, 12)
+        assert plan.halo_band(plan.parts[0], 2) == (0, 6)
+        assert plan.halo_band(plan.parts[1], 2) == (2, 10)
+        assert plan.halo_band(plan.parts[2], 2) == (6, 12)
 
 
 # --------------------------------------------------------------------------- #
@@ -214,9 +214,9 @@ class TestShardedStorage:
         with BrookRuntime(backend="cpu", devices=4) as rt:
             big = rt.stream((8, 8))
             tiny = rt.stream((1, 1))
-            assert isinstance(big.storage, ShardedStorage)
-            assert big.storage.shard_count == 4
-            assert not isinstance(tiny.storage, ShardedStorage)
+            assert isinstance(big.storage, PartitionedStorage)
+            assert len(big.storage.parts) == 4
+            assert not isinstance(tiny.storage, PartitionedStorage)
 
     def test_upload_download_roundtrip(self):
         data = np.arange(9 * 5, dtype=np.float32).reshape(9, 5)
@@ -546,9 +546,32 @@ class TestShardedExecutor:
             plan = module.saxpy.bind(1.0, x, y, out)
             reads, writes = set(), set()
             _collect_hazards(plan, reads, writes)
-            assert writes == {id(s) for s in out.storage.shards}
-            assert reads == {id(s) for s in x.storage.shards} | \
-                {id(s) for s in y.storage.shards}
+            assert writes == {id(s) for s in out.storage.parts}
+            assert reads == {id(s) for s in x.storage.parts} | \
+                {id(s) for s in y.storage.parts}
+
+    def test_sharded_of_tiled_leaves_are_every_bands_tiles(self):
+        """A band that tiles on its device resolves to its per-tile
+        storages, for the leaf walk and the executor's hazard keys."""
+        from repro.runtime.executor import _collect_hazards
+        from repro.runtime.partition import leaf_storages, storage_units
+
+        backend = ShardedBackend([tiny_gles2_backend(16) for _ in range(4)])
+        with BrookRuntime(backend=backend) as rt:
+            module = rt.compile(SAXPY)
+            x, y, out = (rt.stream((40, 40)) for _ in range(3))
+            band_tiles = [tile for band in out.storage.parts
+                          for tile in band.parts]
+            assert len(band_tiles) == 4 * 3
+            assert all(not isinstance(tile, PartitionedStorage)
+                       for tile in band_tiles)
+            assert leaf_storages(out) == tuple(band_tiles)
+            assert storage_units(out) == tuple(id(t) for t in band_tiles)
+            reads, writes = set(), set()
+            _collect_hazards(module.saxpy.bind(1.0, x, y, out), reads, writes)
+            assert writes == {id(t) for t in band_tiles}
+            assert reads == set(storage_units(x)) | set(storage_units(y))
+            assert len(reads) == 2 * 4 * 3
 
     def test_executor_pipeline_bitwise_identical(self):
         data = (np.arange(14 * 6, dtype=np.float32).reshape(14, 6) % 19)

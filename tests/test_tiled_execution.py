@@ -1,6 +1,6 @@
 """Tests for the tiled execution engine (streams beyond the texture limit).
 
-Covers the tile geometry, the per-backend :class:`TiledStorage`, tiled
+Covers the tile geometry, the per-backend tiled :class:`PartitionedStorage`, tiled
 kernel launches / reductions / fused pipelines, the ``tiles=N`` launch
 records with their GPU-model pricing, and the satellite behaviours that
 ride along: 1-D folding, the int-scalar truncation guard, in-place
@@ -22,7 +22,7 @@ from repro.core.analysis.tiling import folded_layout, tile_grid, tiled_texture_b
 from repro.errors import KernelLaunchError
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
-from repro.runtime import BrookRuntime, StreamShape, TiledStorage
+from repro.runtime import BrookRuntime, PartitionedStorage, StreamShape
 from repro.runtime.tiling import TilePlan
 from repro.timing.gpu_model import GPUCostParameters, GPUModel, GPUWorkload
 
@@ -106,31 +106,30 @@ class TestTileGeometry:
 
 class TestTilePlan:
     def test_trivial_plan(self):
-        plan = TilePlan.for_shape(StreamShape.of((8, 8)), LIMITS_2048)
+        plan = TilePlan(StreamShape.of((8, 8)), LIMITS_2048)
         assert plan.is_trivial
-        assert plan.tile_count == 1
+        assert plan.part_count == 1
 
     def test_folded_single_tile_plan_is_not_trivial(self):
-        plan = TilePlan.for_shape(StreamShape.of((4096,)), LIMITS_2048)
+        plan = TilePlan(StreamShape.of((4096,)), LIMITS_2048)
         assert not plan.is_trivial
-        assert plan.tile_count == 1
+        assert plan.part_count == 1
         assert plan.folded == (2, 2048)
 
     def test_fold_slice_stitch_roundtrip(self):
         limits = TargetLimits(max_texture_size=16)
-        plan = TilePlan.for_shape(StreamShape.of((20, 37)), limits)
+        plan = TilePlan(StreamShape.of((20, 37)), limits)
         data = np.arange(20 * 37, dtype=np.float32).reshape(20, 37)
-        folded = plan.fold(data)
-        blocks = [plan.slice(folded, tile) for tile in plan.tiles]
-        restored = plan.unfold(plan.stitch(blocks))
+        blocks = plan.split(data)
+        restored = plan.join(blocks)
         np.testing.assert_array_equal(restored, data)
 
     def test_tile_index_positions_are_global(self):
         limits = TargetLimits(max_texture_size=16)
         shape = StreamShape.of((40,))
-        plan = TilePlan.for_shape(shape, limits)
+        plan = TilePlan(shape, limits)
         collected = np.concatenate(
-            [plan.tile_index_positions(tile) for tile in plan.tiles])
+            [plan.index_positions(tile) for tile in plan.parts])
         # Folding maps elements row-major, so concatenating the per-tile
         # positions in tile order recovers every logical position once.
         reference = shape.element_positions()
@@ -144,22 +143,22 @@ class TestTiledStorage:
     def test_folded_1d_stream_fits_one_texture(self, gles2_runtime):
         stream = gles2_runtime.stream((4096,))
         storage = stream.storage
-        assert isinstance(storage, TiledStorage)
-        assert storage.tile_count == 1
-        assert storage.tiles[0].texture.width == 2048
-        assert storage.tiles[0].texture.height == 2
+        assert isinstance(storage, PartitionedStorage)
+        assert len(storage.parts) == 1
+        assert storage.parts[0].texture.width == 2048
+        assert storage.parts[0].texture.height == 2
 
     def test_2d_stream_tiles_on_gles2(self, gles2_runtime):
         stream = gles2_runtime.stream((3000, 3000))
-        assert isinstance(stream.storage, TiledStorage)
-        assert stream.storage.tile_count == 4
+        assert isinstance(stream.storage, PartitionedStorage)
+        assert len(stream.storage.parts) == 4
 
     def test_write_read_roundtrip_tiled(self):
         rt = tiny_gles2_runtime()
         data = np.random.default_rng(0).uniform(-5, 5, (20, 37)) \
             .astype(np.float32)
         stream = rt.stream_from(data)
-        assert isinstance(stream.storage, TiledStorage)
+        assert isinstance(stream.storage, PartitionedStorage)
         np.testing.assert_array_equal(stream.read(), data)
         np.testing.assert_array_equal(stream.peek(), data)
 
@@ -174,13 +173,13 @@ class TestTiledStorage:
         data = np.random.default_rng(1).uniform(-1, 1, (5000,)) \
             .astype(np.float32)
         stream = cal_runtime.stream_from(data)
-        assert isinstance(stream.storage, TiledStorage)
+        assert isinstance(stream.storage, PartitionedStorage)
         assert stream.storage.plan.folded == (2, 2500)
         np.testing.assert_array_equal(stream.read(), data)
 
     def test_cpu_never_tiles(self, cpu_runtime):
         stream = cpu_runtime.stream((4096,))
-        assert not isinstance(stream.storage, TiledStorage)
+        assert not isinstance(stream.storage, PartitionedStorage)
 
     def test_cpu_launches_domains_beyond_any_texture_limit(self, cpu_runtime):
         """Tiled dispatch keys on the storage, not the domain size: the
