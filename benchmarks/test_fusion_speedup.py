@@ -15,13 +15,21 @@ pipeline:
 
 Outputs must be bitwise identical across all variants on the CPU
 backend, and the combined path must be at least 2x faster than the seed
-path on at least one size.  The results are published as
+path on at least one size.
+
+A second row times ``rt.fuse`` itself on the same chain re-bound with
+new exposure/gamma scalars every repeat, the way an auto-exposure
+controller retunes it per frame: cold (fusion cache emptied) against
+cached, interleaved.  The cached call must be at least 20x faster, with
+bitwise-identical outputs.  The results are published as
 ``BENCH_fusion.json`` at the repository root (uploaded as a CI artefact)
 plus a human-readable table under ``benchmarks/reports/``.
 """
 
 import json
+import os
 import pathlib
+import platform
 import time
 
 import numpy as np
@@ -94,29 +102,36 @@ def _time_best(fn, iterations=ITERATIONS, repeats=REPEATS) -> float:
     return best
 
 
-def _run_pipeline_variant(size: int, fast_path: bool, fuse: bool):
-    """Seconds per frame + final output + pass count for one variant."""
+def _bind_pipeline(rt, size: int, exposure: float = 2.2,
+                   gamma: float = 1.8):
+    """The eight-stage plans on fresh streams: (plans, output stream)."""
     image = np.random.default_rng(0).uniform(0.0, 255.0, (size, size)) \
         .astype(np.float32)
     weights = [float(w) for w in FILTER_3X3.reshape(-1)]
+    filt = rt.compile(FILTER_SOURCE)
+    post = rt.compile(ADAS_POST_SOURCE)
+    src = rt.stream_from(image, name="image")
+    stages = [rt.stream((size, size), name=f"stage{i}") for i in range(8)]
+    plans = [
+        filt.filter3x3.bind(src, float(size), float(size), *weights,
+                            stages[0]),
+        post.normalize_px.bind(stages[0], 1.0 / 255.0, stages[1]),
+        post.tone_map.bind(stages[1], exposure, stages[2]),
+        post.contrast.bind(stages[2], 0.6, stages[3]),
+        post.vignette.bind(stages[3], float(size), float(size), 0.8,
+                           stages[4]),
+        post.gamma_px.bind(stages[4], gamma, stages[5]),
+        post.highlight.bind(stages[5], 0.7, 0.5, stages[6]),
+        post.quantize_px.bind(stages[6], 255.0, stages[7]),
+    ]
+    return plans, stages[7]
+
+
+def _run_pipeline_variant(size: int, fast_path: bool, fuse: bool):
+    """Seconds per frame + final output + pass count for one variant."""
     options = CompilerOptions(enable_fast_path=fast_path)
     with BrookRuntime(backend="cpu", compiler_options=options) as rt:
-        filt = rt.compile(FILTER_SOURCE)
-        post = rt.compile(ADAS_POST_SOURCE)
-        src = rt.stream_from(image, name="image")
-        stages = [rt.stream((size, size), name=f"stage{i}") for i in range(8)]
-        plans = [
-            filt.filter3x3.bind(src, float(size), float(size), *weights,
-                                stages[0]),
-            post.normalize_px.bind(stages[0], 1.0 / 255.0, stages[1]),
-            post.tone_map.bind(stages[1], 2.2, stages[2]),
-            post.contrast.bind(stages[2], 0.6, stages[3]),
-            post.vignette.bind(stages[3], float(size), float(size), 0.8,
-                               stages[4]),
-            post.gamma_px.bind(stages[4], 1.8, stages[5]),
-            post.highlight.bind(stages[5], 0.7, 0.5, stages[6]),
-            post.quantize_px.bind(stages[6], 255.0, stages[7]),
-        ]
+        plans, out = _bind_pipeline(rt, size)
         if fuse:
             pipeline = rt.fuse(plans)
             launch = pipeline.launch
@@ -128,7 +143,7 @@ def _run_pipeline_variant(size: int, fast_path: bool, fuse: bool):
             passes = len(plans)
         launch()  # warm-up (and correctness output)
         seconds = _time_best(launch)
-        return seconds, stages[7].read(), passes
+        return seconds, out.read(), passes
 
 
 def _render_table(results, best_size, best_speedup) -> str:
@@ -199,7 +214,61 @@ def fast_path_micro():
     }
 
 
-def test_fusion_speedup(publish, fast_path_micro):
+CACHE_SIZE = 32
+CACHE_REPEATS = 11
+
+
+def _quartiles(values):
+    low, median, high = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(low), "q3": float(high)}
+
+
+@pytest.fixture(scope="module")
+def fusion_cache_row():
+    """Cold vs cached ``rt.fuse`` on the retuned chain (real wall-clock).
+
+    Every repeat binds the chain with new exposure/gamma scalars and
+    fuses it twice - once after emptying the fusion cache, once with it
+    warm - alternating which goes first; both pipelines run and their
+    outputs must agree bitwise.
+    """
+    cold_ms, cached_ms = [], []
+    bitwise = True
+    with BrookRuntime(backend="cpu") as rt:
+        rt.fuse(_bind_pipeline(rt, CACHE_SIZE)[0])  # compile and warm
+        for repeat in range(CACHE_REPEATS):
+            exposure, gamma = 2.2 + 0.05 * repeat, 1.8 - 0.02 * repeat
+            outputs = []
+            for cold in ((True, False) if repeat % 2 else (False, True)):
+                plans, out = _bind_pipeline(rt, CACHE_SIZE, exposure, gamma)
+                if cold:
+                    rt.clear_compile_cache()
+                start = time.perf_counter()
+                pipeline = rt.fuse(plans)
+                elapsed_ms = (time.perf_counter() - start) * 1e3
+                (cold_ms if cold else cached_ms).append(elapsed_ms)
+                pipeline.launch()
+                outputs.append(out.read())
+            bitwise &= bool(np.array_equal(outputs[0].view(np.uint32),
+                                           outputs[1].view(np.uint32)))
+        info = rt.fusion_cache_info()
+    return {
+        "size": CACHE_SIZE,
+        "stages": len(STAGES),
+        "repeats": CACHE_REPEATS,
+        "cold_ms": _quartiles(cold_ms),
+        "cached_ms": _quartiles(cached_ms),
+        "speedup": float(np.median(cold_ms) / np.median(cached_ms)),
+        "bitwise_identical": bitwise,
+        "fusion_cache": info,
+        "host": {"nproc": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
+        "statistic": "median and quartiles of interleaved repeats",
+    }
+
+
+def test_fusion_speedup(publish, fast_path_micro, fusion_cache_row):
     results = {}
     bitwise_all = True
     for size in SIZES:
@@ -236,11 +305,17 @@ def test_fusion_speedup(publish, fast_path_micro):
             "bitwise_identical": bitwise_all,
         },
         "fast_path": fast_path_micro,
+        "fusion_cache": fusion_cache_row,
         "timing": {"iterations": ITERATIONS, "repeats": REPEATS,
                    "statistic": "best-of-repeats mean"},
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    publish("fusion", _render_table(results, best_size, best_speedup))
+    cache = fusion_cache_row
+    publish("fusion", _render_table(results, best_size, best_speedup) + (
+        f"\n\nrt.fuse on the retuned chain ({CACHE_SIZE}x{CACHE_SIZE}, "
+        f"median of {CACHE_REPEATS} interleaved repeats): cold "
+        f"{cache['cold_ms']['median']:.2f}ms, cached "
+        f"{cache['cached_ms']['median']:.3f}ms ({cache['speedup']:.0f}x)"))
 
     # Acceptance: outputs are bitwise identical on the CPU backend and the
     # combined fast path + fusion beats the seed interpreter path >= 2x.
@@ -250,3 +325,9 @@ def test_fusion_speedup(publish, fast_path_micro):
         f"expected >= 2x speedup, measured {best_speedup:.2f}x "
         f"(sizes: { {s: round(r['speedup'], 2) for s, r in results.items()} })"
     )
+    # Acceptance: a cached rt.fuse skips the fusion work (>= 20x faster
+    # than a cold one) and launches bitwise the same pipeline.
+    assert cache["bitwise_identical"]
+    assert cache["speedup"] >= 20.0, (
+        f"expected cached rt.fuse >= 20x faster than cold, measured "
+        f"{cache['speedup']:.1f}x")

@@ -185,6 +185,9 @@ class CompiledProgram:
     options: CompilerOptions
     program: AnalyzedProgram
     certification: CertificationReport
+    #: ``(source, filename, options fingerprint)``: what the program is a
+    #: pure function of, and the runtime's compile-cache key.
+    key: Tuple[str, str, str]
     kernels: Dict[str, CompiledKernel] = field(default_factory=dict)
     #: Mapping from original kernel names to the (possibly split) kernel
     #: names that implement them, in output order.
@@ -262,6 +265,7 @@ class BrookAutoCompiler:
         compiled = CompiledProgram(
             source=source, options=options, program=program,
             certification=certification, kernel_groups=kernel_groups,
+            key=(source, filename, options.fingerprint()),
             original_definitions={
                 func.name: func for func in unit.functions
                 if func.is_kernel or func.is_reduction

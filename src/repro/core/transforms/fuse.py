@@ -20,24 +20,28 @@ intermediate (``a[j]``) may read arbitrary elements and therefore needs
 the whole intermediate materialised first; such pairs are rejected and
 keep running as two passes.  Reductions are likewise never fused.
 
-This module operates purely on the AST (:func:`fuse_definitions`) plus a
-convenience wrapper that packages the fused definition as a
+A whole producer -> consumer chain merges in one step
+(:func:`fuse_definitions`, on the AST: each member is copied once, with
+the names a pairwise fold would give it), and :func:`fuse_compiled`
+packages the merged definition as a
 :class:`~repro.core.compiler.CompiledKernel` with generated shader text
-and a compiled fast path (:func:`fuse_compiled`).  The runtime entry
-point, ``rt.fuse([...])``, lives in :mod:`repro.runtime.launch`.
+and compiled execution paths, built once.  The runtime entry point,
+``rt.fuse([...])``, lives in :mod:`repro.runtime.launch`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ...errors import FusionError
 from .. import ast_nodes as ast
 from ..types import ParamKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.loop_bounds import LoopBoundAnalysis
+    from ..analysis.resources import KernelResources, TargetLimits
     from ..compiler import CompiledKernel
 
 __all__ = ["FusionResult", "check_fusable", "fuse_definitions", "fuse_compiled"]
@@ -45,19 +49,20 @@ __all__ = ["FusionResult", "check_fusable", "fuse_definitions", "fuse_compiled"]
 
 @dataclass
 class FusionResult:
-    """Outcome of one AST-level fusion step."""
+    """Outcome of fusing a chain of kernel definitions."""
 
     #: The merged kernel definition.
     definition: ast.FunctionDef
-    #: Producer symbol -> its (prefixed) name in the fused kernel.  Covers
-    #: every producer parameter, including the eliminated outputs.
-    producer_renames: Dict[str, str] = field(default_factory=dict)
-    #: Eliminated consumer stream parameter -> the fused-kernel local that
-    #: now carries the intermediate value.
-    consumer_renames: Dict[str, str] = field(default_factory=dict)
+    #: Per merged member, in chain order: each of its symbols (parameters
+    #: and locals) -> its name in the fused kernel.  A consumer input fed
+    #: by an earlier member maps to the local carrying that value.
+    renames: Tuple[Dict[str, str], ...] = ()
     #: Element widths of the eliminated intermediate streams (used by the
     #: statistics / timing accounting of saved stream traffic).
     eliminated_widths: Tuple[int, ...] = ()
+    #: Resource estimate and loop analysis of :attr:`definition`.
+    resources: Optional["KernelResources"] = None
+    loop_analysis: Optional["LoopBoundAnalysis"] = None
 
 
 def _collect_names(kernel: ast.FunctionDef) -> List[str]:
@@ -144,109 +149,181 @@ def check_fusable(
     return None
 
 
-def fuse_definitions(
-    producer: ast.FunctionDef,
-    consumer: ast.FunctionDef,
-    connections: Dict[str, str],
-    name: Optional[str] = None,
-) -> FusionResult:
-    """Merge ``producer`` into ``consumer`` at the AST level.
+#: Per consumer (chain position ``k >= 1``): each of its input-stream
+#: parameters fed by an earlier member -> ``(member index, output
+#: parameter)`` of that member.
+Connections = Sequence[Dict[str, Tuple[int, str]]]
 
-    The producer's connected output parameters become local variables of
-    the fused kernel; the consumer's connected input-stream parameters
-    disappear and its references read those locals instead.  Every
-    producer symbol is renamed with a collision-free prefix so the two
-    bodies can be concatenated safely.
+
+def _chain_renames(definitions: Sequence[ast.FunctionDef],
+                   connections: Connections) -> List[Dict[str, str]]:
+    """Per member, every symbol -> its name in the fused kernel.
+
+    The names are those of a pairwise fold: fusing member ``k`` into the
+    kernel merged so far prefixes every symbol of that kernel with the
+    first ``f<n>_`` that no name of either kernel starts with, and ``k``'s
+    connected inputs take the name of the output feeding them.
+    """
+    renames: List[Dict[str, str]] = []
+    for index, definition in enumerate(definitions):
+        names = _collect_names(definition)
+        member = {name: name for name in names}
+        if index:
+            prefix = _fresh_prefix(set(names).union(
+                *(earlier.values() for earlier in renames)))
+            for earlier in renames:
+                for symbol, name in earlier.items():
+                    earlier[symbol] = prefix + name
+            for param, (source, out) in connections[index - 1].items():
+                member[param] = renames[source].get(out, out)
+        renames.append(member)
+    return renames
+
+
+class _Chain:
+    """One renamed copy of each member, and the fused kernel of any prefix.
+
+    Every prefix shares the copies' nodes, so growing the fused kernel by
+    a member copies nothing.  The copies carry the names of the whole
+    chain; a prefix under those names differs from the pairwise fold of
+    that prefix only by a consistent renaming, which no legality check or
+    resource estimate can observe.
+    """
+
+    def __init__(self, definitions: Sequence[ast.FunctionDef],
+                 connections: Connections):
+        self.definitions = list(definitions)
+        self.connections = list(connections)
+        self.renames = _chain_renames(definitions, connections)
+        self.copies = []
+        for definition, names in zip(self.definitions, self.renames):
+            member = copy.deepcopy(definition)
+            _rename_symbols(member, names)
+            self.copies.append(member)
+
+    def merged(self, count: int) -> Tuple[ast.FunctionDef, List[int]]:
+        """The first ``count >= 2`` members fused, and the eliminated widths.
+
+        Each step's eliminated outputs become locals declared ahead of
+        the previous steps' ones; the bodies follow in chain order.
+        """
+        dropped = set()  # (member, parameter position)
+        decls: List[ast.Statement] = []
+        widths: List[int] = []
+        for index in range(1, count):
+            edge = self.connections[index - 1]
+            dropped.update(self._position(index, param) for param in edge)
+            outs = sorted({self._position(*out) for out in edge.values()})
+            dropped.update(outs)
+            params = [self.copies[source].params[at] for source, at in outs]
+            decls = [ast.DeclStatement(location=param.location,
+                                       decl_type=param.type,
+                                       name=param.name, init=None)
+                     for param in params] + decls
+            widths += [param.type.width for param in params]
+        first = self.definitions[0]
+        return ast.FunctionDef(
+            location=first.location,
+            name="__".join(d.name for d in self.definitions[:count]),
+            return_type=first.return_type,
+            params=[param for index, member in enumerate(self.copies[:count])
+                    for at, param in enumerate(member.params)
+                    if (index, at) not in dropped],
+            body=ast.Block(
+                location=first.body.location,
+                statements=decls + [statement
+                                    for member in self.copies[:count]
+                                    for statement in member.body.statements],
+            ),
+            is_kernel=True,
+            is_reduction=False,
+        ), widths
+
+    def _position(self, member: int, name: str) -> Tuple[int, int]:
+        names = [param.name for param in self.definitions[member].params]
+        return member, names.index(name)
+
+
+def fuse_definitions(
+    definitions: Sequence[ast.FunctionDef],
+    connections: Connections,
+    limits: Optional["TargetLimits"] = None,
+) -> FusionResult:
+    """Merge a producer -> consumer chain of map kernels into one kernel.
+
+    Member ``k``'s connected input-stream parameters disappear and read
+    the locals that replace the outputs feeding them; outputs no later
+    member reads stay parameters.  Every symbol is renamed so the bodies
+    can be concatenated safely, with the names a pairwise fold gives
+    them, and each member is copied once.
+
+    Members join in chain order while :func:`check_fusable` accepts the
+    next one and, with ``limits``, the merged kernel fits them; the
+    result covers the members that joined (``len(result.renames)``).
 
     Raises:
-        FusionError: When :func:`check_fusable` rejects the pair.
+        FusionError: When not even the first two members merge.
     """
-    reason = check_fusable(producer, consumer, connections)
-    if reason is not None:
-        raise FusionError(
-            f"cannot fuse {producer.name!r} -> {consumer.name!r}: {reason}")
+    from ..analysis.loop_bounds import analyze_loop_bounds
+    from ..analysis.resources import estimate_resources
 
-    prefix = _fresh_prefix(_collect_names(producer) + _collect_names(consumer))
-    producer_renames = {n: prefix + n for n in {
-        param.name for param in producer.params
-    } | {
-        node.name for node in producer.body.walk()
-        if isinstance(node, ast.DeclStatement)
-    }}
-
-    producer_copy = copy.deepcopy(producer)
-    _rename_symbols(producer_copy, producer_renames)
-
-    eliminated_outs = sorted(set(connections.values()),
-                             key=[p.name for p in producer.params].index)
-    eliminated_renamed = {producer_renames[n] for n in eliminated_outs}
-    intermediate_decls: List[ast.Statement] = []
-    eliminated_widths: List[int] = []
-    producer_params: List[ast.KernelParam] = []
-    for param in producer_copy.params:
-        if param.name in eliminated_renamed:
-            intermediate_decls.append(ast.DeclStatement(
-                location=param.location, decl_type=param.type,
-                name=param.name, init=None,
-            ))
-        else:
-            producer_params.append(param)
-    for out_name in eliminated_outs:
-        eliminated_widths.append(producer.param(out_name).type.width)
-
-    consumer_renames = {
-        consumer_param: producer_renames[producer_out]
-        for consumer_param, producer_out in connections.items()
-    }
-    consumer_copy = copy.deepcopy(consumer)
-    consumer_params = [param for param in consumer_copy.params
-                       if param.name not in consumer_renames]
-    consumer_copy.params = consumer_params
-    _rename_symbols(consumer_copy, consumer_renames)
-
-    fused_name = name or f"{producer.name}__{consumer.name}"
-    body = ast.Block(
-        location=producer.body.location,
-        statements=(intermediate_decls
-                    + list(producer_copy.body.statements)
-                    + list(consumer_copy.body.statements)),
-    )
-    fused = ast.FunctionDef(
-        location=producer.location,
-        name=fused_name,
-        return_type=producer.return_type,
-        params=producer_params + consumer_params,
-        body=body,
-        is_kernel=True,
-        is_reduction=False,
-    )
+    if len(definitions) < 2:
+        raise FusionError("fusion needs a chain of at least two kernels")
+    chain = _Chain(definitions, connections)
+    # Step ``index`` fuses member ``index`` into the kernel of the
+    # members before it, as the pairwise fold does.
+    producer, count = chain.copies[0], 1
+    for index in range(1, len(chain.definitions)):
+        consumer = chain.definitions[index]
+        connected = {param: chain.renames[source].get(out, out) for param,
+                     (source, out) in chain.connections[index - 1].items()}
+        reason = check_fusable(producer, consumer, connected)
+        if reason is None:
+            candidate, widths = chain.merged(index + 1)
+            loop_analysis = analyze_loop_bounds(candidate, {})
+            resources = estimate_resources(candidate, loop_analysis)
+            problems = resources.fits(limits) if limits is not None else []
+            if problems:
+                reason = "the merged kernel exceeds the device limits: " \
+                    + "; ".join(problems)
+        if reason is not None:
+            if index == 1:
+                raise FusionError(f"cannot fuse {producer.name!r} -> "
+                                  f"{consumer.name!r}: {reason}")
+            break
+        producer, count = candidate, index + 1
+        fused = (widths, loop_analysis, resources)
+    if count < len(chain.definitions):
+        # Renamed as a chain of ``count`` members.
+        return fuse_definitions(chain.definitions[:count],
+                                chain.connections[:count - 1])
+    widths, loop_analysis, resources = fused
     return FusionResult(
-        definition=fused,
-        producer_renames=producer_renames,
-        consumer_renames=consumer_renames,
-        eliminated_widths=tuple(eliminated_widths),
+        definition=producer,
+        renames=tuple(chain.renames),
+        eliminated_widths=tuple(widths),
+        resources=resources,
+        loop_analysis=loop_analysis,
     )
 
 
 def fuse_compiled(
-    producer: "CompiledKernel",
-    consumer: "CompiledKernel",
-    connections: Dict[str, str],
+    kernels: Sequence["CompiledKernel"],
+    fusion: FusionResult,
     helpers: Dict[str, ast.FunctionDef],
     enable_fast_path: bool = True,
     enable_vector_path: bool = False,
-) -> Tuple["CompiledKernel", FusionResult]:
-    """Fuse two compiled kernels into a launchable :class:`CompiledKernel`.
+) -> "CompiledKernel":
+    """Package the fusion of ``kernels`` as a launchable kernel.
 
-    Runs the AST fusion, re-estimates resources, regenerates the shader
-    artefacts (best effort, like the compiler driver) and compiles the
-    fast path for the merged body.  ``fused_from`` records the flattened
-    source kernel names so launch statistics can attribute saved passes.
+    ``fusion`` is :func:`fuse_definitions` of the kernels' definitions.
+    Regenerates the shader artefacts (best effort, like the compiler
+    driver) and builds the fast and vector paths once for the merged
+    body.  ``fused_from`` records the flattened source kernel names so
+    launch statistics can attribute saved passes.
     """
     # Imported lazily: the compiler driver imports this package for its
     # other passes, so a module-level import would be circular.
-    from ..analysis.loop_bounds import analyze_loop_bounds
-    from ..analysis.resources import estimate_resources
     from ..codegen.c_backend import generate_c
     from ..codegen.glsl_desktop import generate_desktop_glsl
     from ..codegen.glsl_es import generate_glsl_es
@@ -254,21 +331,18 @@ def fuse_compiled(
     from ..exec.compiled import compile_fast_path
     from ...errors import CodegenError
 
-    result = fuse_definitions(producer.definition, consumer.definition,
-                              connections)
-    fused_def = result.definition
-    loop_analysis = analyze_loop_bounds(fused_def, {})
+    fused_def = fusion.definition
     fused = CompiledKernel(
         name=fused_def.name,
         definition=fused_def,
         original_name=fused_def.name,
-        resources=estimate_resources(fused_def, loop_analysis),
-        max_loop_iterations=loop_analysis.max_total_iterations,
-        fused_from=((producer.fused_from or (producer.name,))
-                    + (consumer.fused_from or (consumer.name,))),
-        fused_saved_components=(producer.fused_saved_components
-                                + consumer.fused_saved_components
-                                + sum(result.eliminated_widths)),
+        resources=fusion.resources,
+        max_loop_iterations=fusion.loop_analysis.max_total_iterations,
+        fused_from=sum((kernel.fused_from or (kernel.name,)
+                        for kernel in kernels), ()),
+        fused_saved_components=(sum(kernel.fused_saved_components
+                                    for kernel in kernels)
+                                + sum(fusion.eliminated_widths)),
     )
     helper_defs = list(helpers.values())
     for attribute, generate in (("glsl_es", generate_glsl_es),
@@ -285,4 +359,4 @@ def fuse_compiled(
 
         fused.vector_path, fused.vector_report = build_vector_path(
             fused_def, helpers)
-    return fused, result
+    return fused

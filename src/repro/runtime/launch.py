@@ -23,10 +23,11 @@ producer -> consumer pairs into single fused kernels (see
 :mod:`repro.core.transforms.fuse`), eliminating the intermediate
 streams' write/read traffic and the per-pass dispatch overhead.  A
 fused segment is itself a :class:`LaunchPlan` whose single piece is the
-merged kernel.  Pairs that cannot be legally fused (reductions, gathers
-on the intermediate, mismatched domains, an intermediate that is still
-needed afterwards) simply stay separate passes - fusion never changes
-what a pipeline computes, only how many passes it takes.
+merged kernel, cached per runtime on the content of the kernel chain.
+Pairs that cannot be legally fused (reductions, gathers on the
+intermediate, mismatched domains, an intermediate that is still needed
+afterwards) simply stay separate passes - fusion never changes what a
+pipeline computes, only how many passes it takes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from ..core.compiler import CompiledKernel
-from ..core.transforms.fuse import fuse_compiled
+from ..core.transforms.fuse import fuse_compiled, fuse_definitions
 from ..errors import FusionError, KernelLaunchError
 from .stream import Stream
 from .tiling import launch_tile_plan, launch_tiled
@@ -283,101 +284,177 @@ class FusedPipeline:
                 f"{self.source_count} kernels>")
 
 
-def _try_fuse_pair(runtime: "BrookRuntime", current: LaunchPlan,
-                   nxt: LaunchPlan, later_plans: Sequence[LaunchPlan]
-                   ) -> Optional[LaunchPlan]:
-    """Merge two adjacent plans, or return ``None`` when illegal."""
-    # Reductions and compiler-split multi-piece kernels never fuse.
-    for plan in (current, nxt):
-        if plan.is_reduction or len(plan._pieces) != 1:
-            return None
-    if current._domain.dims != nxt._domain.dims:
-        return None
-    prod_kernel, (prod_streams, prod_gathers, prod_scalars,
-                  prod_outs) = current._pieces[0]
-    cons_kernel, (cons_streams, cons_gathers, cons_scalars,
-                  cons_outs) = nxt._pieces[0]
+def _fusable_run(plans: Sequence[LaunchPlan], start: int
+                 ) -> Tuple[List[LaunchPlan], List[Dict[str, Tuple[int, str]]]]:
+    """The plans from ``start`` on whose bindings let each join the ones before.
 
-    # Which consumer input-stream parameters read a producer output?
-    connections: Dict[str, str] = {}
-    intermediates: List[Stream] = []
-    for out_name, out_stream in prod_outs.items():
-        consumed_by = [in_name for in_name, stream in cons_streams.items()
-                       if stream is out_stream]
-        if consumed_by:
+    Returns the run and, per plan after the first, its connections: each
+    input-stream parameter reading a stream an earlier run member writes
+    -> ``(run index, output parameter)`` of that member.  These are the
+    binding-level legality checks; they run on every call, cached kernel
+    or not.
+    """
+    def fusable(plan):
+        # Reductions, compiler-split multi-piece kernels and already
+        # fused segments never fuse.
+        return (not plan.is_reduction and len(plan._pieces) == 1
+                and len(plan._members[0]) == 1)
+
+    run = [plans[start]]
+    connections: List[Dict[str, Tuple[int, str]]] = []
+    if not fusable(run[0]):
+        return run, connections
+    streams, gathers, _, outs = run[0]._pieces[0][1]
+    inputs = [*streams.values(), *gathers.values()]
+    live = [(0, name, stream) for name, stream in outs.items()]
+    helpers = dict(run[0]._helpers)
+    for position in range(start + 1, len(plans)):
+        nxt = plans[position]
+        if not fusable(nxt) or nxt._domain.dims != run[-1]._domain.dims:
+            break
+        cons_streams, cons_gathers, _, cons_outs = nxt._pieces[0][1]
+        edge: Dict[str, Tuple[int, str]] = {}
+        intermediates: List[Stream] = []
+        for index, out_name, out_stream in live:
+            consumed_by = [in_name for in_name, stream in cons_streams.items()
+                           if stream is out_stream]
             for in_name in consumed_by:
-                connections[in_name] = out_name
-            intermediates.append(out_stream)
-    if not connections:
+                edge[in_name] = (index, out_name)
+            if consumed_by:
+                intermediates.append(out_stream)
+        if not edge:
+            break
+        # Every output must only flow to the consumer positionally.  A
+        # consumer that gathers from *any* output (connected or not)
+        # would observe the pre-producer snapshot inside the fused pass,
+        # and an aliased consumer output would race the producer's
+        # write; both require separate passes.
+        written = [*cons_gathers.values(), *cons_outs.values()]
+        if any(stream is other for _, _, stream in live for other in written):
+            break
+        # A fully eliminated intermediate must additionally not be read
+        # by the run itself (in-place kernels) or by any later plan - it
+        # will never be materialised.
+        readers = [*inputs, *(stream for later in plans[position + 1:]
+                              for stream in later._bound_streams)]
+        if any(stream is other for stream in intermediates
+               for other in readers):
+            break
+        # Helper collision across modules: same name must mean the same code.
+        if any(helpers.get(name, definition) is not definition
+               for name, definition in nxt._helpers.items()):
+            break
+        helpers.update(nxt._helpers)
+        eliminated = set(edge.values())
+        live = [out for out in live if out[:2] not in eliminated]
+        live += [(len(run), name, stream) for name, stream in cons_outs.items()]
+        inputs += [stream for name, stream in cons_streams.items()
+                   if name not in edge]
+        inputs += cons_gathers.values()
+        run.append(nxt)
+        connections.append(edge)
+    return run, connections
+
+
+def _merged_helpers(plans: Sequence[LaunchPlan]) -> Dict[str, "ast.FunctionDef"]:
+    helpers: Dict[str, "ast.FunctionDef"] = {}
+    for plan in plans:
+        for name, definition in plan._helpers.items():
+            helpers.setdefault(name, definition)
+    return helpers
+
+
+def _execution_paths(plans: Sequence[LaunchPlan]) -> Tuple[bool, bool]:
+    """(fast, vector): a fused kernel keeps an execution path only when
+    every member kernel was compiled with it."""
+    programs = [plan._members[0][0][0] for plan in plans]
+    return (all(program.options.enable_fast_path for program in programs),
+            all(program.options.vector_enabled for program in programs))
+
+
+def _fuse_kernels(backend, run: Sequence[LaunchPlan],
+                  connections: Sequence[Dict[str, Tuple[int, str]]]):
+    """(fused kernel, per-member renames) of the longest fusable prefix
+    of ``run`` on ``backend``, or ``None`` when its first pair is refused.
+
+    A member joins while :func:`fuse_definitions` accepts it and the
+    merged kernel fits the device; a kernel the backend cannot launch
+    gives up its last member.
+    """
+    kernels = [plan._pieces[0][0] for plan in run]
+    count = len(run)
+    while count > 1:
+        try:
+            fusion = fuse_definitions(
+                [kernel.definition for kernel in kernels[:count]],
+                connections[:count - 1], backend.target_limits())
+        except FusionError:
+            return None
+        count = len(fusion.renames)
+        fast, vector = _execution_paths(run[:count])
+        kernel = fuse_compiled(kernels[:count], fusion,
+                               _merged_helpers(run[:count]),
+                               enable_fast_path=fast,
+                               enable_vector_path=vector)
+        if backend.can_execute(kernel):
+            return kernel, fusion.renames
+        count -= 1
+    return None
+
+
+def _fused_plan(runtime: "BrookRuntime", run: Sequence[LaunchPlan],
+                connections: Sequence[Dict[str, Tuple[int, str]]]
+                ) -> Optional[LaunchPlan]:
+    """One plan running the longest fusable prefix of ``run``, or ``None``.
+
+    The fused kernel comes from the runtime's fusion cache, keyed on what
+    it is a pure function of: the member kernels (their programs'
+    compile-cache keys and kernel names), the connections, the helper
+    names and the execution-path flags - never scalar values, streams or
+    object identities.  A refused chain is cached as ``None``.  The
+    device checks and the argument remapping run on every call.
+    """
+    helpers = _merged_helpers(run)
+    key = (tuple((plan._members[0][0][0].key, plan._pieces[0][0].name)
+                 for plan in run),
+           tuple(tuple(edge.items()) for edge in connections),
+           tuple(helpers), _execution_paths(run))
+    backend = runtime.backend
+    entry = runtime._fusion_cache.lookup(
+        key, lambda: _fuse_kernels(backend, run, connections))
+    if entry is None:
         return None
-
-    # Every producer output must only flow producer -> consumer
-    # positionally.  A consumer that gathers from *any* producer output
-    # (connected or not) would observe the pre-producer snapshot inside
-    # the fused pass, and an aliased consumer output would race the
-    # producer's write; both require separate passes.
-    for stream in prod_outs.values():
-        if any(stream is s for s in cons_gathers.values()):
-            return None
-        if any(stream is s for s in cons_outs.values()):
-            return None
-    # A fully eliminated intermediate must additionally not be read by
-    # the producer itself (in-place kernels) or by any later plan - it
-    # will never be materialised.
-    for stream in intermediates:
-        if any(stream is s for s in (*prod_streams.values(),
-                                     *prod_gathers.values())):
-            return None
-        for later in later_plans:
-            if any(stream is s for s in later._bound_streams):
-                return None
-
-    # Helper collision across modules: same name must mean the same code.
-    helpers = dict(current._helpers)
-    for helper_name, definition in nxt._helpers.items():
-        if helpers.get(helper_name, definition) is not definition:
-            return None
-        helpers[helper_name] = definition
-
-    # The fused kernel keeps an execution path only when every member
-    # kernel was compiled with it.
-    members = current._members[0] + nxt._members[0]
-    try:
-        fused_kernel, result = fuse_compiled(
-            prod_kernel, cons_kernel, connections, helpers,
-            enable_fast_path=all(program.options.enable_fast_path
-                                 for program, _ in members),
-            enable_vector_path=all(program.options.vector_enabled
-                                   for program, _ in members),
-        )
-    except FusionError:
+    kernel, renames = entry
+    if (kernel.resources.fits(backend.target_limits())
+            or not backend.can_execute(kernel)):
         return None
-    if fused_kernel.resources.fits(runtime.backend.target_limits()):
-        return None  # merged kernel exceeds the device's limits
-    if not runtime.backend.can_execute(fused_kernel):
-        return None
-
-    eliminated = set(connections.values())
-    renamed = result.producer_renames
-    stream_args = {renamed[k]: v for k, v in prod_streams.items()}
-    stream_args.update({k: v for k, v in cons_streams.items()
-                        if k not in connections})
-    gather_args = {renamed[k]: v for k, v in prod_gathers.items()}
-    gather_args.update(cons_gathers)
-    scalar_args = {renamed[k]: v for k, v in prod_scalars.items()}
-    scalar_args.update(cons_scalars)
-    out_args = {renamed[k]: v for k, v in prod_outs.items()
-                if k not in eliminated}
-    out_args.update(cons_outs)
+    members = run[:len(renames)]
+    # Connected inputs and the outputs feeding them are no parameters of
+    # the fused kernel; every other binding keeps its value under its
+    # fused name, per argument kind (streams, gathers, scalars, outputs).
+    edges = connections[:len(members) - 1]
+    dropped = {(index, name) for index, edge in enumerate(edges, 1)
+               for name in edge}
+    dropped.update(out for edge in edges for out in edge.values())
+    args = ({}, {}, {}, {})
+    for index, (plan, names) in enumerate(zip(members, renames)):
+        for kind, bound in zip(args, plan._pieces[0][1]):
+            kind.update((names[name], value) for name, value in bound.items()
+                        if (index, name) not in dropped)
     return LaunchPlan._fused(
-        runtime, fused_kernel, helpers, nxt._domain,
-        (stream_args, gather_args, scalar_args, out_args), members,
+        runtime, kernel, _merged_helpers(members), members[-1]._domain, args,
+        tuple(plan._members[0][0] for plan in members),
     )
 
 
 def build_fused_pipeline(runtime: "BrookRuntime",
                          plans: Sequence[LaunchPlan]) -> FusedPipeline:
-    """Greedily merge adjacent compatible plans into fused segments."""
+    """Greedily merge adjacent compatible plans into fused segments.
+
+    Each segment is the longest run of plans from where the previous one
+    ended that a pairwise fold would merge: bindings first
+    (:func:`_fusable_run`), then kernel legality and device limits.
+    """
     if not plans:
         raise KernelLaunchError("cannot fuse an empty pipeline")
     for plan in plans:
@@ -389,20 +466,18 @@ def build_fused_pipeline(runtime: "BrookRuntime",
         if plan.runtime is not runtime:
             raise KernelLaunchError(
                 "cannot fuse launch plans from a different runtime")
-    segments: List[Tuple[object, List[int]]] = []
-    current = plans[0]
-    current_indices = [0]
-    for position in range(1, len(plans)):
-        nxt = plans[position]
-        merged = _try_fuse_pair(runtime, current, nxt, plans[position + 1:])
-        if merged is not None:
-            current = merged
-            current_indices.append(position)
+    segments: List[Tuple[LaunchPlan, List[int]]] = []
+    start = 0
+    while start < len(plans):
+        run, connections = _fusable_run(plans, start)
+        fused = _fused_plan(runtime, run, connections) \
+            if len(run) > 1 else None
+        if fused is None:
+            segment, count = plans[start], 1
         else:
-            segments.append((current, current_indices))
-            current = nxt
-            current_indices = [position]
-    segments.append((current, current_indices))
+            segment, count = fused, len(fused._members[0])
+        segments.append((segment, list(range(start, start + count))))
+        start += count
     return FusedPipeline(runtime, segments, len(plans))
 
 

@@ -40,7 +40,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -56,6 +56,54 @@ from .shape import StreamShape
 from .stream import Stream
 
 __all__ = ["BrookModule", "BrookRuntime"]
+
+_MISSING = object()
+
+
+class _LRUCache:
+    """A bounded least-recently-used map with hit/miss counters.
+
+    Values are built outside ``lock``: lookups of different keys overlap
+    instead of serializing on the cache.  Capacity ``0`` disables it.
+    """
+
+    def __init__(self, lock: threading.Lock, capacity: int):
+        self._lock = lock
+        self._capacity = max(0, int(capacity))
+        self._entries: "OrderedDict[object, object]" = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+
+    def lookup(self, key, build):
+        """The value cached for ``key``, or ``build()``'s, then cached."""
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is not _MISSING:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return value
+        value = build()
+        with self._lock:
+            self._misses += 1
+            if self._capacity > 0:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+                while len(self._entries) > self._capacity:
+                    self._entries.popitem(last=False)
+        return value
+
+    def info(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._entries),
+                "capacity": self._capacity,
+            }
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 class BrookModule:
@@ -124,8 +172,9 @@ class BrookRuntime:
                 option applies to each :meth:`compile` call that does not
                 override it.
             compile_cache_size: Maximum number of compiled programs kept in
-                the compile cache (least recently used entries are evicted;
-                ``0`` disables caching).
+                the compile cache, and of fused kernels kept in the fusion
+                cache (least recently used entries are evicted; ``0``
+                disables caching).
             devices: Number of devices to open.  With ``devices=N > 1``
                 the runtime constructs ``N`` backends of the requested
                 kind and shards every stream and launch across them (see
@@ -193,15 +242,17 @@ class BrookRuntime:
         # (or via Stream.release) must not be kept alive - or reported as
         # memory in use - by the runtime's bookkeeping.
         self._streams: "weakref.WeakSet[Stream]" = weakref.WeakSet()
-        self._compile_cache: "OrderedDict[Tuple[str, str, str], CompiledProgram]" = \
-            OrderedDict()
-        # The LRU OrderedDict is shared by every thread using this
-        # runtime; insert/evict/move_to_end are not atomic, so all cache
-        # operations (and the hit/miss counters) run under this lock.
+        # The caches are shared by every thread using this runtime;
+        # insert/evict/move_to_end are not atomic, so every cache
+        # operation (and the hit/miss counters) runs under this lock.
         self._compile_cache_lock = threading.Lock()
-        self._compile_cache_size = max(0, int(compile_cache_size))
-        self._compile_cache_hits = 0
-        self._compile_cache_misses = 0
+        self._compile_cache = _LRUCache(self._compile_cache_lock,
+                                        compile_cache_size)
+        # Fused kernels keyed on the content of the kernel chain (see
+        # :func:`~repro.runtime.launch.build_fused_pipeline`); the key
+        # holds compile-cache keys, so it lives and dies with that cache.
+        self._fusion_cache = _LRUCache(self._compile_cache_lock,
+                                       compile_cache_size)
         # Command queues are *per-thread* state: a ``with rt.queue():``
         # block must only capture kernel launches issued by the thread
         # that opened it, never launches other threads issue concurrently.
@@ -232,8 +283,7 @@ class BrookRuntime:
         for stream in list(self._streams):
             stream.release()
         self._streams.clear()
-        with self._compile_cache_lock:
-            self._compile_cache.clear()
+        self.clear_compile_cache()
         self.backend.close()
 
     def __enter__(self) -> "BrookRuntime":
@@ -297,41 +347,29 @@ class BrookRuntime:
             options.scalarize = scalarize
 
         key = (source, filename, options.fingerprint())
-        with self._compile_cache_lock:
-            program = self._compile_cache.get(key)
-            if program is not None:
-                self._compile_cache_hits += 1
-                self._compile_cache.move_to_end(key)
-        if program is None:
-            # Compile outside the lock: concurrent compiles of *different*
-            # sources overlap instead of serializing on the cache.  Two
-            # threads compiling the same source may both miss and compile;
-            # the second insert simply wins, which is harmless (the
-            # programs are equivalent).
-            program = BrookAutoCompiler(options).compile(source, filename)
-            with self._compile_cache_lock:
-                self._compile_cache_misses += 1
-                if self._compile_cache_size > 0:
-                    self._compile_cache[key] = program
-                    self._compile_cache.move_to_end(key)
-                    while len(self._compile_cache) > self._compile_cache_size:
-                        self._compile_cache.popitem(last=False)
+        # Two threads compiling the same source may both miss and
+        # compile; the second insert simply wins, which is harmless (the
+        # programs are equivalent).
+        program = self._compile_cache.lookup(
+            key, lambda: BrookAutoCompiler(options).compile(source, filename))
         return BrookModule(self, program)
 
     def compile_cache_info(self) -> Dict[str, int]:
         """Hit/miss counters and current occupancy of the compile cache."""
-        with self._compile_cache_lock:
-            return {
-                "hits": self._compile_cache_hits,
-                "misses": self._compile_cache_misses,
-                "entries": len(self._compile_cache),
-                "capacity": self._compile_cache_size,
-            }
+        return self._compile_cache.info()
+
+    def fusion_cache_info(self) -> Dict[str, int]:
+        """Hit/miss counters and current occupancy of the fusion cache.
+
+        One lookup per run of plans :meth:`fuse` tries to merge; it shares
+        the compile cache's capacity and is emptied with it.
+        """
+        return self._fusion_cache.info()
 
     def clear_compile_cache(self) -> None:
-        """Drop every cached compilation (counters keep accumulating)."""
-        with self._compile_cache_lock:
-            self._compile_cache.clear()
+        """Drop every cached compilation and fusion (counters keep accumulating)."""
+        self._compile_cache.clear()
+        self._fusion_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Streams

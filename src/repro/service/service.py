@@ -738,6 +738,7 @@ class BrookService:
                 "outstanding": worker.outstanding,
                 "plan_cache": worker.cache_info(),
                 "compile_cache": worker.runtime.compile_cache_info(),
+                "fusion_cache": worker.runtime.fusion_cache_info(),
             })
         report = {
             "backend": self.backend_name,

@@ -62,9 +62,9 @@ def pipeline_data(rng):
 class TestFuseDefinitions:
     def test_merges_into_single_kernel(self, pipeline_program):
         result = fuse_definitions(
-            pipeline_program.kernel("scale").definition,
-            pipeline_program.kernel("offset").definition,
-            {"y": "y"},
+            [pipeline_program.kernel("scale").definition,
+             pipeline_program.kernel("offset").definition],
+            [{"y": (0, "y")}],
         )
         fused = result.definition
         assert fused.is_kernel and not fused.is_reduction
@@ -76,15 +76,15 @@ class TestFuseDefinitions:
         # ...but a local declaration carrying the producer's value.
         declared = [node.name for node in fused.body.walk()
                     if type(node).__name__ == "DeclStatement"]
-        assert result.consumer_renames["y"] in declared
+        assert result.renames[1]["y"] in declared
         assert result.eliminated_widths == (1,)
 
     def test_fused_kernel_compiles_and_gets_fast_path(self, pipeline_program):
-        fused, _ = fuse_compiled(
-            pipeline_program.kernel("scale"),
-            pipeline_program.kernel("offset"),
-            {"y": "y"}, pipeline_program.helpers(),
-        )
+        kernels = [pipeline_program.kernel("scale"),
+                   pipeline_program.kernel("offset")]
+        fusion = fuse_definitions([kernel.definition for kernel in kernels],
+                                  [{"y": (0, "y")}])
+        fused = fuse_compiled(kernels, fusion, pipeline_program.helpers())
         assert fused.glsl_es is not None
         assert fused.c_source is not None
         assert fused.fast_path is not None
@@ -114,7 +114,7 @@ class TestFuseDefinitions:
         assert check_fusable(scale, offset, {"y": "x"}) is not None
         assert check_fusable(scale, offset, {"nope": "y"}) is not None
         with pytest.raises(FusionError):
-            fuse_definitions(scale, offset, {"y": "x"})
+            fuse_definitions([scale, offset], [{"y": (0, "x")}])
 
 
 # --------------------------------------------------------------------------- #
